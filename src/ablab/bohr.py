@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +22,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .groups import Subgroup
+from .reporting import OMIT, as_key, digest
 from .sets import GroupSet
 from .torus import TorusMap, characters, product_map, trivial_map
 
@@ -85,19 +86,9 @@ def approx_bohr_set(
 @dataclass(frozen=True)
 class RoundingResult:
     found: bool
-    tau: TorusMap | None
+    tau: TorusMap | None = field(metadata=OMIT)
     bohr: GroupSet | None
     best_distance: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "best_distance": [
-                self.best_distance.numerator,
-                self.best_distance.denominator,
-            ],
-            "bohr": None if self.bohr is None else self.bohr.to_json(),
-        }
 
 
 def _generating_positions(h: Subgroup) -> np.ndarray:
@@ -182,22 +173,12 @@ def round_to_homomorphism(
 @dataclass(frozen=True)
 class BohrWitness:
     subgroup: Subgroup
-    tau: TorusMap
+    tau: TorusMap = field(metadata=OMIT)
     delta: Fraction
     dim: int
     bohr: GroupSet
-    container: GroupSet
+    container: GroupSet = field(metadata=as_key("container_digest", digest))
     size_bound_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "subgroup": self.subgroup.to_json(),
-            "delta": [self.delta.numerator, self.delta.denominator],
-            "dim": self.dim,
-            "bohr": self.bohr.to_json(),
-            "container_digest": self.container.digest(),
-            "size_bound_ok": self.size_bound_ok,
-        }
 
 
 def _verify_size_bound(h: Subgroup, delta: Fraction, dim: int, bohr: GroupSet) -> bool:

@@ -405,7 +405,7 @@ def cmd_group(args) -> int:
     }
     if args.subgroups:
         subs = enumerate_subgroups(g, max_index=args.max_index)
-        payload["subgroups"] = [s.to_json() for s in subs]
+        payload["subgroups"] = subs
         payload["subgroup_count"] = len(subs)
     _emit(args, payload)
     return 0
@@ -414,12 +414,11 @@ def cmd_group(args) -> int:
 def cmd_diagnose(args) -> int:
     g = get_group(args.group, args.size_budget)
     a = parse_set_spec(g, args.set)
-    payload: dict = {"group": g.label, "set": a.to_json()}
-    payload["growth"] = sets.growth_profile(a).to_json()
-    vr = vc.vc_dimension(a, args.vc_cap)
-    payload["vc"] = vr.to_json()
+    payload: dict = {"group": g.label, "set": a}
+    payload["growth"] = sets.growth_profile(a)
+    payload["vc"] = vc.vc_dimension(a, args.vc_cap)
     eps = parse_fraction(args.eps)
-    payload["stabilizer"] = vc.stabilizer(a, eps).to_json()
+    payload["stabilizer"] = vc.stabilizer(a, eps)
     _emit(args, payload)
     return 0
 
@@ -429,7 +428,7 @@ def cmd_croot_sisask(args) -> int:
     a = parse_set_spec(g, args.set)
     rng = SplitRng.from_seed(args.seed).derive("cli:croot-sisask")
     y, trace = pipelines.croot_sisask(a, args.mode, args.n, strategy=args.strategy, rng=rng)
-    _emit(args, {"y": y.to_json(), "trace": trace.to_json()})
+    _emit(args, {"y": y, "trace": trace})
     return 0
 
 
@@ -441,7 +440,7 @@ def cmd_bogolyubov(args) -> int:
     report = pipelines.bogolyubov_bounded_exponent(
         a, args.mode, args.m, normalize=args.normalize, budget=budget, rng=rng
     )
-    _emit(args, report.to_json())
+    _emit(args, report)
     return 0 if report.all_verified else 3
 
 
@@ -458,7 +457,7 @@ def cmd_regularity(args) -> int:
         vc_cap=args.vc_cap,
         rng=rng,
     )
-    _emit(args, report.to_json())
+    _emit(args, report)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(
@@ -482,7 +481,7 @@ def cmd_bohr_search(args) -> int:
         "container_card": ms.w.card,
         "sigma_order": ms.sigma.order,
         "found": witness is not None,
-        "witness": None if witness is None else witness.to_json(),
+        "witness": witness,
     }
     _emit(args, payload)
     return 0
@@ -494,7 +493,7 @@ def cmd_saturation(args) -> int:
     b = parse_set_spec(g, args.set_b) if args.set_b else None
     c = parse_set_spec(g, args.set_c) if args.set_c else None
     report = pipelines.dense_saturation_check(g, a, b, c)
-    _emit(args, report.to_json())
+    _emit(args, report)
     return 0
 
 
@@ -523,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_set:
             p.add_argument("--set", required=True, help="set literal, e.g. interval:0..2")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--budget", type=int, default=200)
         p.add_argument("--size-budget", type=int, default=4096)
         p.add_argument("--out", default="-")

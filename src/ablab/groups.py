@@ -163,7 +163,7 @@ class Group:
         return self.order == other.order and self.signature == other.signature
 
     def __hash__(self) -> int:
-        return hash((self.order, self.label))
+        return hash(self.signature)
 
     def __repr__(self) -> str:
         return f"Group({self.label}, order={self.order})"
@@ -241,10 +241,13 @@ def cyclic_group(n: int, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
 
 
 def elementary_abelian_group(p: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise GroupConstructionError("p must be prime")
     if k < 1:
         raise GroupConstructionError("k must be positive")
+    if p > budget or (p >= 2 and k > budget.bit_length()):
+        # p^k >= max(p, 2^k) exceeds the budget; p^k itself may be too big to form
+        raise SizeBudgetError(f"group ea({p},{k}) exceeds budget {budget}")
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise GroupConstructionError("p must be prime")
     n = p**k
     _check_budget(n, budget)
     if p == 2:
@@ -338,7 +341,7 @@ def group_from_cayley_file(path: str | Path, budget: int = DEFAULT_SIZE_BUDGET) 
     """Format: first line n, then n lines of n space-separated indices."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in path
         raise GroupConstructionError(f"cannot read Cayley file: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

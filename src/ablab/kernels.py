@@ -142,16 +142,6 @@ def _gf2_span(n: int, seed_mask: int) -> int:
     return span
 
 
-def translate_matrix(group, idxs: np.ndarray, mask: int, side: str = "left") -> np.ndarray:
-    """Boolean matrix whose row j is the translate of mask by idxs[j].
-
-    side="left" gives rows g*S, side="right" gives rows S*g.
-    """
-    bits = mask_to_bools(mask, group.order)
-    table = group.mult if side == "left" else group.mult_t
-    return bits[table[group.inv[idxs]]]
-
-
 def translate_diff_counts(group, mask: int, side: str = "left") -> np.ndarray:
     """|gA symdiff A| for every g (or |Ag symdiff A| when side="right")."""
     n = group.order

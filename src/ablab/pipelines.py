@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
 )
 from .groups import Group, Subgroup, _lattice_masks
 from .kernels import bools_to_mask, mask_indices, mask_to_bools
+from .reporting import OMIT, as_key, card, digest
 from .rng import SplitRng
 from .sets import (
     GroupSet,
@@ -37,14 +38,6 @@ from .sets import (
 )
 from .vc import stabilizer, stabilizer_by_threshold, vc_dimension
 
-TRIPLING_TARGET_WORDS = {
-    "pi1": "+-+-",
-    "pi2": "++--",
-    "pi3": "-+-+",
-    "pi4": "--++",
-}
-
-
 def _default_rng(rng: SplitRng | None, label: str) -> SplitRng:
     return rng if rng is not None else SplitRng.from_seed(0).derive(label)
 
@@ -52,14 +45,28 @@ def _default_rng(rng: SplitRng | None, label: str) -> SplitRng:
 # --- mode bookkeeping ---------------------------------------------------------
 
 
+def containment_target(a: GroupSet) -> tuple[dict[str, GroupSet], GroupSet]:
+    """The tripling-mode target W(A): the four words of A keyed by their sign
+    strings (A A^-1 A A^-1, A^2 A^-2, A^-1 A A^-1 A, A^-2 A^2), and their
+    intersection W(A)."""
+    words = {signs: eval_word(a, signs) for signs in ("+-+-", "++--", "-+-+", "--++")}
+    w = words["+-+-"] & words["++--"] & words["-+-+"] & words["--++"]
+    return words, w
+
+
 @dataclass(frozen=True)
 class ModeSets:
-    """The standard sets attached to a base set in one of the two modes."""
+    """The standard sets attached to a base set in one of the two modes.
+
+    words holds the four words whose intersection is w in tripling mode, and
+    is empty in alternation mode.
+    """
 
     mode: str
     base: GroupSet
     v: GroupSet
     w: GroupSet
+    words: dict[str, GroupSet]
     m: int
     sigma: Subgroup
     sigma_is_vm: bool
@@ -73,15 +80,11 @@ def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
     if mode == "alternation":
         v = product(a, inverse(a))
         w = power(v, 2)
+        words = {}
         growth = Fraction(eval_word(a, "+-+").card, a.card)
     elif mode == "tripling":
         v = bar_closure(a)
-        w = (
-            eval_word(a, "+-+-")
-            & eval_word(a, "++--")
-            & eval_word(a, "-+-+")
-            & eval_word(a, "--++")
-        )
+        words, w = containment_target(a)
         growth = Fraction(power(a, 3).card, a.card)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -95,46 +98,29 @@ def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
         steps += 1
     sigma = Subgroup(g, closure.mask, verify=False)
     sigma_is_vm = power(v, m) == closure
-    return ModeSets(mode, a, v, w, m, sigma, sigma_is_vm, growth)
+    return ModeSets(mode, a, v, w, words, m, sigma, sigma_is_vm, growth)
 
 
 # --- almost-periodicity search -------------------------------------------------
+
+
+def _ladder_json(ladder: tuple[tuple[Fraction, Fraction], ...]) -> list[dict]:
+    return [{"t": t, "f_estimate": f} for t, f in ladder]
 
 
 @dataclass(frozen=True)
 class CSTargetTrace:
     label: str
     ell: Fraction
-    ladder: tuple[tuple[Fraction, Fraction], ...]
+    ladder: tuple[tuple[Fraction, Fraction], ...] = field(
+        metadata=as_key("ladder", _ladder_json)
+    )
     chosen_t: Fraction | None
-    chosen_b: GroupSet | None
+    chosen_b: GroupSet | None = field(metadata=as_key("b_card", card))
     threshold: Fraction | None
-    y_star: GroupSet | None
+    y_star: GroupSet | None = field(metadata=as_key("y_star_card", card))
     power_checked: int
     accepted: bool
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "ell": [self.ell.numerator, self.ell.denominator],
-            "ladder": [
-                {
-                    "t": [t.numerator, t.denominator],
-                    "f_estimate": [f.numerator, f.denominator],
-                }
-                for t, f in self.ladder
-            ],
-            "chosen_t": None
-            if self.chosen_t is None
-            else [self.chosen_t.numerator, self.chosen_t.denominator],
-            "threshold": None
-            if self.threshold is None
-            else [self.threshold.numerator, self.threshold.denominator],
-            "b_card": None if self.chosen_b is None else self.chosen_b.card,
-            "y_star_card": None if self.y_star is None else self.y_star.card,
-            "power_checked": self.power_checked,
-            "accepted": self.accepted,
-        }
 
 
 @dataclass(frozen=True)
@@ -142,7 +128,7 @@ class CSTrace:
     mode: str
     verified_n: int
     y: GroupSet
-    w: GroupSet
+    w: GroupSet = field(metadata=as_key("w_card", card))
     covering_count: int | None
     degenerate: bool
     targets: tuple[CSTargetTrace, ...]
@@ -154,17 +140,6 @@ class CSTrace:
     @property
     def ladder(self):
         return self.targets[0].ladder
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "verified_n": self.verified_n,
-            "y": self.y.to_json(),
-            "w_card": self.w.card,
-            "covering_count": self.covering_count,
-            "degenerate": self.degenerate,
-            "targets": [t.to_json() for t in self.targets],
-        }
 
 
 def _greedy_b(x: GroupSet, z: GroupSet, size: int) -> GroupSet:
@@ -268,12 +243,14 @@ def croot_sisask(
     strategy: str = "greedy",
     rng: SplitRng | None = None,
     with_covering: bool = True,
+    target: tuple[dict[str, GroupSet], GroupSet] | None = None,
 ) -> tuple[GroupSet, CSTrace]:
     """Symmetric Y containing 1 with Y^n inside the mode's containment target.
 
     The returned containment is re-verified by direct power computation; when
     no ladder rung verifies, the identity singleton is returned and flagged
-    degenerate (always valid, never silently wrong).
+    degenerate (always valid, never silently wrong).  In tripling mode a
+    caller that already holds containment_target(x) passes it as target.
     """
     if x.card == 0:
         raise EmptySetError("croot_sisask needs a nonempty set")
@@ -291,21 +268,16 @@ def croot_sisask(
         y = tr.y_star if tr.accepted else identity
     elif mode == "tripling":
         v = bar_closure(x)
-        w = (
-            eval_word(x, "+-+-")
-            & eval_word(x, "++--")
-            & eval_word(x, "-+-+")
-            & eval_word(x, "--++")
-        )
+        words, w = target or containment_target(x)
         runs = [
-            ("pi1", x, xinv, eval_word(x, "+-+-")),
-            ("pi2", x, x, eval_word(x, "++--")),
-            ("pi3", xinv, x, eval_word(x, "-+-+")),
-            ("pi4", xinv, xinv, eval_word(x, "--++")),
+            ("pi1", x, xinv, "+-+-"),
+            ("pi2", x, x, "++--"),
+            ("pi3", xinv, x, "-+-+"),
+            ("pi4", xinv, xinv, "--++"),
         ]
         targets = tuple(
-            _cs_target(label, base, zc, v, wc, 4 * n, strategy, rng)
-            for label, base, zc, wc in runs
+            _cs_target(label, base, zc, v, words[signs], 4 * n, strategy, rng)
+            for label, base, zc, signs in runs
         )
         if all(t.accepted for t in targets):
             core = targets[0].y_star
@@ -349,21 +321,11 @@ class OracleBudget:
 @dataclass(frozen=True)
 class SubgroupWitness:
     subgroup: Subgroup
-    container: GroupSet
+    container: GroupSet = field(metadata=as_key("container_digest", digest))
     index: int
     cover_count: int | None
     normalized: bool
     method: str
-
-    def to_json(self) -> dict:
-        return {
-            "subgroup": self.subgroup.to_json(),
-            "container_digest": self.container.digest(),
-            "index": self.index,
-            "cover_count": self.cover_count,
-            "normalized": self.normalized,
-            "method": self.method,
-        }
 
 
 def _exhaustive_masks(g: Group, region: int, ambient: Subgroup, max_states: int) -> list[int]:
@@ -486,26 +448,12 @@ class BogolyubovReport:
     growth_k: Fraction
     witness: SubgroupWitness
     trace: CSTrace
-    y: GroupSet
+    y: GroupSet = field(metadata=OMIT)
     sigma_order: int
     sigma_is_vm: bool
     h_in_w: bool
     h_in_double: bool
     normal_in_sigma: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "m": self.m,
-            "growth_k": [self.growth_k.numerator, self.growth_k.denominator],
-            "witness": self.witness.to_json(),
-            "trace": self.trace.to_json(),
-            "sigma_order": self.sigma_order,
-            "sigma_is_vm": self.sigma_is_vm,
-            "h_in_w": self.h_in_w,
-            "h_in_double": self.h_in_double,
-            "normal_in_sigma": self.normal_in_sigma,
-        }
 
     @property
     def all_verified(self) -> bool:
@@ -529,7 +477,9 @@ def bogolyubov_bounded_exponent(
     """
     rng = _default_rng(rng, "bogolyubov")
     ms = mode_sets(a, mode, m)
-    y, trace = croot_sisask(a, mode, 4, strategy=strategy, rng=rng.derive("cs"))
+    y, trace = croot_sisask(
+        a, mode, 4, strategy=strategy, rng=rng.derive("cs"), target=(ms.words, ms.w)
+    )
     witness = largest_subgroup_inside(ms.w, ms.sigma, budget, rng.derive("oracle"))
     sub = witness.subgroup
     normal_flag: bool | None = None
@@ -666,70 +616,36 @@ def _floor_delta_times(dpow: Fraction, e: int, scale: int) -> int:
 class RegularityReport:
     eps: Fraction
     nu: Fraction
-    group_label: str
+    group_label: str = field(metadata=as_key("group"))
     group_order: int
     exponent: int
     set_digest: str
-    d: int
-    delta_float: float
+    d: int = field(metadata=as_key("vc_dim"))
+    delta_float: float = field(metadata=as_key("delta"))
     delta_exact: Fraction | None
     stab_threshold: int
-    k_float: float
+    k_float: float = field(metadata=as_key("k"))
     p: Fraction
     t: int
-    s: GroupSet
-    b: GroupSet
+    s: GroupSet = field(metadata=as_key("s_card", card))
+    b: GroupSet = field(metadata=as_key("b_card", card))
     subgroup: Subgroup
     index: int
     method: str
     retries: int
     cover_count: int | None
-    d_set: GroupSet
+    d_set: GroupSet = field(metadata=as_key("structure"))
     structure_defect: Fraction
     z: GroupSet
     z_density: Fraction
     table: list[dict]
     flags: dict[str, bool]
 
+    json_computed: ClassVar[dict[str, str]] = {"success": "success"}
+
     @property
     def success(self) -> bool:
         return all(self.flags.values())
-
-    def to_json(self) -> dict:
-        return {
-            "eps": [self.eps.numerator, self.eps.denominator],
-            "nu": [self.nu.numerator, self.nu.denominator],
-            "group": self.group_label,
-            "group_order": self.group_order,
-            "exponent": self.exponent,
-            "set_digest": self.set_digest,
-            "vc_dim": self.d,
-            "delta": self.delta_float,
-            "delta_exact": None
-            if self.delta_exact is None
-            else [self.delta_exact.numerator, self.delta_exact.denominator],
-            "stab_threshold": self.stab_threshold,
-            "k": self.k_float,
-            "p": [self.p.numerator, self.p.denominator],
-            "t": self.t,
-            "s_card": self.s.card,
-            "b_card": self.b.card,
-            "subgroup": self.subgroup.to_json(),
-            "index": self.index,
-            "method": self.method,
-            "retries": self.retries,
-            "cover_count": self.cover_count,
-            "structure": self.d_set.to_json(),
-            "structure_defect": [
-                self.structure_defect.numerator,
-                self.structure_defect.denominator,
-            ],
-            "z": self.z.to_json(),
-            "z_density": [self.z_density.numerator, self.z_density.denominator],
-            "table": self.table,
-            "flags": self.flags,
-            "success": self.success,
-        }
 
 
 def _trivial_regularity_report(
@@ -913,18 +829,10 @@ def regularity_decompose(
 
 @dataclass(frozen=True)
 class SaturationReport:
-    group_label: str
+    group_label: str = field(metadata=as_key("group"))
     group_order: int
     sizes: dict[str, int]
     equalities: dict[str, bool]
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group_label,
-            "group_order": self.group_order,
-            "sizes": self.sizes,
-            "equalities": self.equalities,
-        }
 
 
 def dense_saturation_check(
@@ -942,16 +850,17 @@ def dense_saturation_check(
     if (b is None) != (c is None):
         raise PreconditionError("provide both B and C or neither")
     full = (1 << g.order) - 1
-    words = {
+    names = {
         "(AA^-1)^2": "+-+-",
         "A^2A^-2": "++--",
         "(A^-1A)^2": "-+-+",
         "A^-2A^2": "--++",
     }
+    words, _ = containment_target(a)
     sizes: dict[str, int] = {"A": a.card}
     eqs: dict[str, bool] = {}
-    for name, signs in words.items():
-        ws = eval_word(a, signs)
+    for name, signs in names.items():
+        ws = words[signs]
         sizes[name] = ws.card
         eqs[name] = ws.mask == full
     if b is not None and c is not None:

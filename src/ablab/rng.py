@@ -58,9 +58,6 @@ class SplitRng:
             if u < limit:
                 return lo + (u % span)
 
-    def random_fraction(self) -> Fraction:
-        return Fraction(self.next_u64(), _U64)
-
     def bernoulli(self, p: Fraction) -> bool:
         return self.next_u64() * p.denominator < p.numerator * _U64
 

@@ -11,10 +11,10 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .groups import Group, Subgroup
+from .reporting import as_key, jsonable
 from .rng import SplitRng
 
 
@@ -206,21 +207,10 @@ def eval_word(x: GroupSet, signs: str) -> GroupSet:
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    base: GroupSet
+    base: GroupSet = field(metadata=as_key("set"))
     doubling: Fraction
     tripling: Fraction
     alternation: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "set": self.base.to_json(),
-            "doubling": [self.doubling.numerator, self.doubling.denominator],
-            "tripling": [self.tripling.numerator, self.tripling.denominator],
-            "alternation": [
-                self.alternation.numerator,
-                self.alternation.denominator,
-            ],
-        }
 
 
 def growth_profile(x: GroupSet) -> GrowthProfile:
@@ -246,12 +236,11 @@ class RuzsaDistance:
     nx: int
     ny: int
 
+    json_computed: ClassVar[dict[str, str]] = {"log": "value"}
+
     @property
     def value(self) -> float:
         return math.log(self.cross / math.sqrt(self.nx * self.ny))
-
-    def to_json(self) -> dict:
-        return {"cross": self.cross, "nx": self.nx, "ny": self.ny, "log": self.value}
 
 
 def ruzsa_distance(x: GroupSet, y: GroupSet) -> RuzsaDistance:
@@ -400,22 +389,11 @@ ALTERNATION_WORDS: list[tuple[str, int, str | None]] = [
 class PlunneckeEntry:
     word: str
     bound_exponent: int
-    base_word: str | None
+    base_word: str | None = field(metadata=as_key("base_word", lambda w: w or "X"))
     base_size: int
     size: int
     ok: bool
     measured_exponent: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "word": self.word,
-            "bound_exponent": self.bound_exponent,
-            "base_word": self.base_word or "X",
-            "base_size": self.base_size,
-            "size": self.size,
-            "ok": self.ok,
-            "measured_exponent": self.measured_exponent,
-        }
 
 
 @dataclass(frozen=True)
@@ -425,15 +403,6 @@ class PlunneckeCertificate:
     base_size: int
     entries: tuple[PlunneckeEntry, ...]
     all_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k": [self.k.numerator, self.k.denominator],
-            "base_size": self.base_size,
-            "entries": [e.to_json() for e in self.entries],
-            "all_ok": self.all_ok,
-        }
 
 
 def plunnecke_check(x: GroupSet, mode: str = "tripling") -> PlunneckeCertificate:
@@ -481,7 +450,7 @@ def plunnecke_check(x: GroupSet, mode: str = "tripling") -> PlunneckeCertificate
                 "group": x.group.label,
                 "set": sorted(x),
                 "mode": mode,
-                "failed": [e.to_json() for e in entries if not e.ok],
+                "failed": [jsonable(e) for e in entries if not e.ok],
             },
         )
     return cert
@@ -502,14 +471,23 @@ _INTERVAL_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 _COSETS_RE = re.compile(r"^H=\[([^\]]*)\],reps=\[([^\]]*)\]$")
 
 
-def _parse_index_list(body: str, text: str) -> list[int]:
-    body = body.strip()
-    if not body:
-        return []
+def _ints(tokens: Iterable[str], text: str) -> list[int]:
     try:
-        return [int(tok) for tok in body.split(",")]
+        return [int(tok) for tok in tokens]
     except ValueError as exc:
-        raise SpecSyntaxError(f"bad element list: {exc}", text) from exc
+        raise SpecSyntaxError(f"bad integer: {exc}", text) from exc
+
+
+def _parse_index_list(body: str, text: str) -> list[int]:
+    return _ints(body.split(","), text) if body.strip() else []
+
+
+def _literal_set(group: Group, items: list, text: str) -> GroupSet:
+    """The set of the listed element indices of the group."""
+    for i in items:
+        if type(i) is not int or not 0 <= i < group.order:
+            raise SpecSyntaxError(f"{i!r} is not an element index of {group.label}", text)
+    return GroupSet.from_indices(group, items)
 
 
 def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> GroupSet:
@@ -525,7 +503,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
     if head == "elems":
         if not (body.startswith("[") and body.endswith("]")):
             raise SpecSyntaxError("elems wants a bracketed list", text, len(head) + 1)
-        return GroupSet.from_indices(group, _parse_index_list(body[1:-1], text))
+        return _literal_set(group, _parse_index_list(body[1:-1], text), text)
     if head == "random":
         m = _RANDOM_RE.match(body)
         if not m:
@@ -533,7 +511,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         density = parse_fraction(m.group(1))
         if not 0 <= density <= 1:
             raise SpecSyntaxError("density must be in [0,1]", text)
-        seed = int(m.group(2))
+        (seed,) = _ints([m.group(2)], text)
         stream = SplitRng.from_seed(seed).derive("set-literal")
         return GroupSet(group, stream.subset_mask(group.order, density))
     if head == "interval":
@@ -542,7 +520,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         m = _INTERVAL_RE.match(body)
         if not m:
             raise SpecSyntaxError("interval wants a..b", text, len(head) + 1)
-        a, b = int(m.group(1)), int(m.group(2))
+        a, b = _ints(m.groups(), text)
         n = group.order
         a %= n
         b %= n
@@ -552,10 +530,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         fam = group.family
         if fam.get("kind") != "ea" or fam.get("p") != 2:
             raise SpecSyntaxError("hamming literals need ea(2,k)", text)
-        try:
-            r = int(body)
-        except ValueError as exc:
-            raise SpecSyntaxError(f"bad radius: {exc}", text) from exc
+        (r,) = _ints([body], text)
         return GroupSet.from_indices(
             group, [i for i in range(group.order) if i.bit_count() <= r]
         )
@@ -563,7 +538,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         m = _COSETS_RE.match(body)
         if not m:
             raise SpecSyntaxError("cosets wants H=[...],reps=[...]", text, len(head) + 1)
-        hset = GroupSet.from_indices(group, _parse_index_list(m.group(1), text))
+        hset = _literal_set(group, _parse_index_list(m.group(1), text), text)
         sub = Subgroup(group, hset.mask)  # verifies closure
         mask = 0
         for rep in _parse_index_list(m.group(2), text):
@@ -574,13 +549,10 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
     if head == "file":
         try:
             data = json.loads(Path(body).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, NUL in path
             raise SpecSyntaxError(f"cannot read set file: {exc}", text) from exc
         if not isinstance(data, list):
             raise SpecSyntaxError("set file must hold a JSON list of indices", text)
-        return GroupSet.from_indices(group, data)
+        return _literal_set(group, data, text)
     raise SpecSyntaxError(f"unknown set literal kind {head!r}", text, 0)
 
-
-def random_set(group: Group, density: Fraction, rng: SplitRng) -> GroupSet:
-    return GroupSet(group, rng.subset_mask(group.order, density))

@@ -180,11 +180,6 @@ class TorusMap:
             TorusVec(tuple(Fraction(int(v), self.den) for v in row)) for row in uniq
         ]
 
-    def distances_to_zero(self) -> np.ndarray:
-        """Per-element d(f(x), 0) as numerators over self.den (linf metric)."""
-        dev = np.minimum(self.nums, self.den - self.nums)
-        return dev.max(axis=1) if self.dim else np.zeros(self.domain.order, np.int64)
-
     def to_json(self) -> dict:
         rows = []
         for row in self.nums:

@@ -8,13 +8,14 @@ candidate base sets, pruning any set with an unshattered prefix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
 from .errors import FeasibilityError, PreconditionError, TheoremViolationError
+from .reporting import as_key, digest, jsonable
 from .sets import GroupSet
 
 DEFAULT_VC_CAP = 6
@@ -25,16 +26,9 @@ DEFAULT_VC_STATES = 2_000_000
 class VcResult:
     """value is exact when cap_hit is False, otherwise a lower bound (>= cap)."""
 
-    value: int
+    value: int = field(metadata=as_key("vc_dim"))
     cap_hit: bool
     witness: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "vc_dim": self.value,
-            "cap_hit": self.cap_hit,
-            "witness": list(self.witness),
-        }
 
 
 def _distinct_translate_rows(a: GroupSet) -> np.ndarray:
@@ -146,20 +140,11 @@ def naive_vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> int:
 
 @dataclass(frozen=True)
 class StabilizerProfile:
-    base: GroupSet
+    base: GroupSet = field(metadata=as_key("set_digest", digest))
     epsilon: Fraction
     stabilizer: GroupSet
     side: str
     density: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": [self.epsilon.numerator, self.epsilon.denominator],
-            "side": self.side,
-            "stabilizer": self.stabilizer.to_json(),
-            "density": [self.density.numerator, self.density.denominator],
-            "set_digest": self.base.digest(),
-        }
 
 
 def stabilizer_by_threshold(a: GroupSet, threshold: int, side: str = "left") -> GroupSet:
@@ -188,23 +173,12 @@ def stabilizer(a: GroupSet, epsilon: Fraction, side: str = "left") -> Stabilizer
 @dataclass(frozen=True)
 class HausslerReport:
     delta: Fraction
-    d: int
+    d: int = field(metadata=as_key("vc_dim"))
     cap_hit: bool
     k: Fraction | None
     stabilizer_size: int
     group_order: int
     ok: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "delta": [self.delta.numerator, self.delta.denominator],
-            "vc_dim": self.d,
-            "cap_hit": self.cap_hit,
-            "k": None if self.k is None else [self.k.numerator, self.k.denominator],
-            "stabilizer_size": self.stabilizer_size,
-            "group_order": self.group_order,
-            "ok": self.ok,
-        }
 
 
 def haussler_check(
@@ -236,7 +210,7 @@ def haussler_check(
                 "group": a.group.label,
                 "set": sorted(a),
                 "delta": [delta.numerator, delta.denominator],
-                "report": report.to_json(),
+                "report": jsonable(report),
             },
         )
     return report

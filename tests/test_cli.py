@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ablab.cli import main
 from ablab.sets import parse_set_spec
@@ -17,6 +20,18 @@ class TestParsing:
 
     def test_bad_set_spec_exits_2(self, capsys):
         assert run(["diagnose", "--group", "cyclic:8", "--set", "wat"]) == 2
+
+    @pytest.mark.parametrize(
+        "literal, content",
+        [("elems:[9]", None), ("file:{}", '["a"]'), ("file:{}", "[1.7]")],
+    )
+    def test_bad_element_exits_2_with_one_line(self, capsys, tmp_path, literal, content):
+        path = tmp_path / "set.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(["diagnose", "--group", "cyclic:8", "--set", literal.format(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ablab: parse error:")
 
     def test_group_spec_round_trip(self):
         for text in ["cyclic:8", "ea:2^6", "dihedral:4", "sym:4", "alt:5", "prod:cyclic:2+ea:2^2"]:
@@ -173,3 +188,74 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# --- malformed literals ------------------------------------------------------------
+
+_INT = st.one_of(st.integers(-3, 70), st.integers(-(10**30), 10**30)).map(str)
+_JUNK = st.text(alphabet=":^+[],.=/-_0123456789cexHX \n", max_size=10)
+_TOKEN = st.one_of(_INT, _JUNK)
+_INDEX_LIST = st.lists(_TOKEN, max_size=5).map(",".join)
+
+_GROUP_LITERALS = st.one_of(
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["cyclic", "c", "dihedral", "d", "sym", "alt", "nope", ""]),
+        _TOKEN,
+    ),
+    st.builds("ea:{}^{}".format, _TOKEN, _TOKEN),
+    st.builds(
+        "prod:{}+{}".format,
+        st.sampled_from(["cyclic:2", "ea:2^2", "sym:3", ""]),
+        st.sampled_from(["cyclic:3", "dihedral:4", "x", ""]),
+    ),
+    st.builds("cayley:{}".format, _JUNK),
+    _JUNK,
+)
+
+_SET_LITERALS = st.one_of(
+    st.builds("elems:[{}]".format, _INDEX_LIST),
+    st.builds(
+        "random:density={},seed={}".format,
+        st.sampled_from(["1/2", "0", "1", "3/2", "1/0", "x", "-1/3"]),
+        _TOKEN,
+    ),
+    st.builds("interval:{}..{}".format, _TOKEN, _TOKEN),
+    st.builds("hamming:{}".format, _TOKEN),
+    st.builds("cosets:H=[{}],reps=[{}]".format, _INDEX_LIST, _INDEX_LIST),
+    st.just("file:{path}"),
+    _JUNK,
+)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=6,
+)
+_FILE_BYTES = st.one_of(st.binary(max_size=16), _JSON.map(json.dumps).map(str.encode))
+
+
+@pytest.fixture(scope="module")
+def literal_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("literals") / "set.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(group=_GROUP_LITERALS, set_literal=_SET_LITERALS, content=_FILE_BYTES)
+def test_malformed_literals_keep_the_exit_code_contract(
+    literal_file, group, set_literal, content
+):
+    literal_file.write_bytes(content)
+    argv = [
+        "saturation",
+        f"--group={group}",
+        f"--set={set_literal.replace('{path}', str(literal_file))}",
+        "--size-budget=64",
+    ]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    if code in (2, 3):
+        assert len(lines) == 1 and lines[0].startswith("ablab: ")

@@ -62,6 +62,19 @@ class TestBuilders:
             cyclic_group(5000)
         with pytest.raises(SizeBudgetError):
             build_group(parse_group_spec("ea:2^13"))
+        with pytest.raises(SizeBudgetError):
+            build_group(parse_group_spec("ea:3^100000000"))
+        with pytest.raises(SizeBudgetError):
+            build_group(parse_group_spec(f"ea:{2**1100 + 1}^1"))
+
+    def test_equal_groups_hash_equal(self):
+        from ablab.groups import Group
+
+        g = cyclic_group(6)
+        relabelled = Group(g.mult, "other")
+        assert relabelled == g
+        assert hash(relabelled) == hash(g)
+        assert relabelled in {g}
 
     def test_identity_is_zero_everywhere(self, small_zoo):
         for g in small_zoo:

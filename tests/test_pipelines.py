@@ -29,6 +29,7 @@ from ablab import (
     vc_dimension,
 )
 from ablab.pipelines import Subgroup, coset_masks, subgroup_candidates_inside
+from ablab.reporting import jsonable
 
 from conftest import (
     brute_power,
@@ -335,8 +336,8 @@ class TestRegularityPipeline:
             rep = regularity_decompose(a, F(1, 4), F(1))
             assert (rep.method == "trivial") is trivial
             assert rep.set_digest == a.digest()
-            assert rep.to_json()["set_digest"] == a.digest()
-            assert rep.to_json()["vc_dim"] == rep.d
+            assert jsonable(rep)["set_digest"] == a.digest()
+            assert jsonable(rep)["vc_dim"] == rep.d
 
 
 class TestSaturation:

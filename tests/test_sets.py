@@ -258,7 +258,7 @@ class TestSetSpecs:
             parse_set_spec(ea24, "interval:0..2")  # not cyclic
         with pytest.raises(SpecSyntaxError):
             parse_set_spec(c8, "hamming:1")  # not ea(2,k)
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecSyntaxError):
             parse_set_spec(c8, "elems:[99]")
 
     def test_round_trip_through_json(self, d6):
