@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -471,15 +471,15 @@ _INTERVAL_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 _COSETS_RE = re.compile(r"^H=\[([^\]]*)\],reps=\[([^\]]*)\]$")
 
 
-def _ints(tokens: Iterable[str], text: str) -> list[int]:
+def _int(token: str, text: str) -> int:
     try:
-        return [int(tok) for tok in tokens]
+        return int(token)
     except ValueError as exc:
         raise SpecSyntaxError(f"bad integer: {exc}", text) from exc
 
 
 def _parse_index_list(body: str, text: str) -> list[int]:
-    return _ints(body.split(","), text) if body.strip() else []
+    return [_int(tok, text) for tok in body.split(",")] if body.strip() else []
 
 
 def _literal_set(group: Group, items: list, text: str) -> GroupSet:
@@ -511,7 +511,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         density = parse_fraction(m.group(1))
         if not 0 <= density <= 1:
             raise SpecSyntaxError("density must be in [0,1]", text)
-        (seed,) = _ints([m.group(2)], text)
+        seed = _int(m.group(2), text)
         stream = SplitRng.from_seed(seed).derive("set-literal")
         return GroupSet(group, stream.subset_mask(group.order, density))
     if head == "interval":
@@ -520,7 +520,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         m = _INTERVAL_RE.match(body)
         if not m:
             raise SpecSyntaxError("interval wants a..b", text, len(head) + 1)
-        a, b = _ints(m.groups(), text)
+        a, b = _int(m.group(1), text), _int(m.group(2), text)
         n = group.order
         a %= n
         b %= n
@@ -530,7 +530,7 @@ def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> Grou
         fam = group.family
         if fam.get("kind") != "ea" or fam.get("p") != 2:
             raise SpecSyntaxError("hamming literals need ea(2,k)", text)
-        (r,) = _ints([body], text)
+        r = _int(body, text)
         return GroupSet.from_indices(
             group, [i for i in range(group.order) if i.bit_count() <= r]
         )
