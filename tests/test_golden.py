@@ -47,6 +47,19 @@ CLI_CASES = {
         "bogolyubov --group sym:4 --set random:density=1/2,seed=7 "
         "--mode alternation --normalize"
     ),
+    "bogolyubov_dihedral64_tripling_normalize": (
+        "bogolyubov --group dihedral:64 --set random:density=1/16,seed=3 "
+        "--mode tripling --normalize"
+    ),
+    "bogolyubov_alt6_alternation_proper_ambient": (
+        "bogolyubov --group alt:6 --set elems:[0,7,13] --mode alternation"
+    ),
+    "bogolyubov_ea10_tripling_heuristic": (
+        "bogolyubov --group ea:2^10 --set random:density=1/2,seed=1 --mode tripling"
+    ),
+    "regularity_sym4_random": (
+        "regularity --group sym:4 --set random:density=1/2,seed=1 --eps 1/4 --nu 1"
+    ),
     "regularity_ea6_cosets": (
         "regularity --group ea:2^6 "
         "--set cosets:H=[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15],reps=[0,17] "
