@@ -142,3 +142,13 @@ def naive_subgroups_inside(g: Group, wset: set[int]) -> set[frozenset[int]]:
         if not fresh:
             return found
         found |= fresh
+
+
+def brute_normal_core(g: Group, hset, over) -> frozenset[int]:
+    """Elements x of H with a x a^-1 in H for every a in over."""
+    hset = set(hset)
+    return frozenset(
+        x
+        for x in hset
+        if all(g.mul(g.mul(a, x), g.invert(a)) in hset for a in over)
+    )

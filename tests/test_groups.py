@@ -9,6 +9,7 @@ from ablab import (
     GroupSet,
     SizeBudgetError,
     abelianization,
+    alternating_group,
     build_group,
     cyclic_group,
     dihedral_group,
@@ -23,8 +24,9 @@ from ablab import (
     symmetric_group,
 )
 from ablab.groups import GroupSpec
+from ablab.pipelines import _core_within
 
-from conftest import brute_closure, random_nonempty, rng
+from conftest import brute_closure, brute_normal_core, random_nonempty, rng
 
 
 def brute_element_order(g, x):
@@ -230,6 +232,22 @@ class TestNormalCore:
             for k in subs:
                 if k.is_normal and not k.mask & ~h.mask:
                     assert not k.mask & ~core.mask
+
+    @pytest.mark.parametrize(
+        "make", [lambda: symmetric_group(4), lambda: dihedral_group(6), lambda: alternating_group(4)]
+    )
+    def test_cores_match_plain_loop(self, make):
+        g = make()
+        subs = enumerate_subgroups(g)
+        for h in subs:
+            hset = set(h.members)
+            core = brute_normal_core(g, hset, range(g.order))
+            assert set(normal_core(g, h).members) == core
+            assert h.is_normal == (core == hset)
+            for sigma in subs:
+                if not h.mask & ~sigma.mask:
+                    expect = brute_normal_core(g, hset, sigma.members)
+                    assert set(_core_within(h, sigma).members) == expect
 
     def test_core_index_reported_not_assumed(self, s4):
         h = [x for x in enumerate_subgroups(s4) if x.order == 4][0]

@@ -168,6 +168,37 @@ class TestLargestSubgroupInside:
             naive = naive_subgroups_inside(d6, set(w))
             assert wit.subgroup.order == max(len(s) for s in naive)
 
+    @staticmethod
+    def _candidate_sets(g, masks):
+        return {frozenset(i for i in range(g.order) if m >> i & 1) for m in masks}
+
+    def test_region_search_candidates_match_naive_oracle(self):
+        # |G| = 80 > 64 and no cached lattice: the whole-ambient call searches
+        # the region instead of filtering the lattice.
+        g = dihedral_group(40)
+        rotations = GroupSet(g, (1 << 40) - 1)
+        r = rng("oracle-region-d40")
+        from ablab import bar_closure
+
+        for extra in (GroupSet.empty(g), rotations, rotations):
+            w = bar_closure(random_nonempty(g, r, F(1, 8)) | extra)
+            masks, method = subgroup_candidates_inside(w, g.whole_subgroup())
+            assert method == "exhaustive" and g._lattice is None
+            assert self._candidate_sets(g, masks) == naive_subgroups_inside(g, set(w))
+
+    def test_proper_ambient_candidates_match_naive_oracle(self, s4):
+        r = rng("oracle-proper-ambient")
+        from ablab import bar_closure
+
+        ambients = [h for h in enumerate_subgroups(s4) if h.order in (8, 12)]
+        for ambient in ambients:
+            for _ in range(2):
+                raw = r.subset_mask(s4.order, F(1, 2)) & ambient.mask | 1
+                w = bar_closure(GroupSet(s4, raw))
+                masks, method = subgroup_candidates_inside(w, ambient)
+                assert method == "exhaustive"
+                assert self._candidate_sets(s4, masks) == naive_subgroups_inside(s4, set(w))
+
     def test_heuristic_on_large_group(self):
         g = elementary_abelian_group(2, 10)
         k = g.closure(0b1110)  # small subgroup
