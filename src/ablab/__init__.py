@@ -77,7 +77,6 @@ from .pipelines import (
     BogolyubovReport,
     CSTrace,
     ModeSets,
-    OracleBudget,
     RegularityReport,
     SaturationReport,
     SubgroupWitness,

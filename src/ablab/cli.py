@@ -22,7 +22,7 @@ from .errors import (
     SpecSyntaxError,
     TheoremViolationError,
 )
-from .groups import Group, GroupSpec, build_group, enumerate_subgroups, parse_group_spec
+from .groups import Group, _check_budget, build_group, enumerate_subgroups, parse_group_spec
 from .reporting import canonical_dumps
 from .rng import SplitRng
 from .sets import GroupSet, parse_fraction, parse_set_spec
@@ -31,9 +31,12 @@ _GROUP_CACHE: dict[str, Group] = {}
 
 
 def get_group(spec_text: str, budget: int = 4096) -> Group:
+    """Build the group once per spec; a cached group still honours budget."""
     if spec_text not in _GROUP_CACHE:
         _GROUP_CACHE[spec_text] = build_group(parse_group_spec(spec_text), budget)
-    return _GROUP_CACHE[spec_text]
+    g = _GROUP_CACHE[spec_text]
+    _check_budget(g.order, budget)
+    return g
 
 
 def _emit(args, payload) -> None:
@@ -436,9 +439,8 @@ def cmd_bogolyubov(args) -> int:
     g = get_group(args.group, args.size_budget)
     a = parse_set_spec(g, args.set)
     rng = SplitRng.from_seed(args.seed).derive("cli:bogolyubov")
-    budget = pipelines.OracleBudget(heuristic_tries=args.budget)
     report = pipelines.bogolyubov_bounded_exponent(
-        a, args.mode, args.m, normalize=args.normalize, budget=budget, rng=rng
+        a, args.mode, args.m, normalize=args.normalize, heuristic_tries=args.budget, rng=rng
     )
     _emit(args, report)
     return 0 if report.all_verified else 3
@@ -448,12 +450,11 @@ def cmd_regularity(args) -> int:
     g = get_group(args.group, args.size_budget)
     a = parse_set_spec(g, args.set)
     rng = SplitRng.from_seed(args.seed).derive("cli:regularity")
-    budget = pipelines.OracleBudget(heuristic_tries=args.budget)
     report = pipelines.regularity_decompose(
         a,
         parse_fraction(args.eps),
         parse_fraction(args.nu),
-        oracle_budget=budget,
+        heuristic_tries=args.budget,
         vc_cap=args.vc_cap,
         rng=rng,
     )

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ DEFAULT_SIZE_BUDGET = 4096
 FULL_ASSOCIATIVITY_LIMIT = 512
 SAMPLED_TRIPLES = 1_000_000
 LATTICE_STATE_BUDGET = 200_000
+# Largest order whose subgroups are searched exhaustively.
 UNBOUNDED_ENUMERATION_LIMIT = 512
 
 
@@ -181,9 +182,6 @@ class Group:
         if self._whole is None:
             self._whole = Subgroup(self, (1 << self.order) - 1, verify=False)
         return self._whole
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, 1, verify=False)
 
 
 def _derive_inverses(table: np.ndarray) -> np.ndarray:
@@ -448,7 +446,7 @@ def build_group(spec: GroupSpec, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
 class Subgroup:
     """A verified subgroup of a parent group, stored as a member bitmask."""
 
-    __slots__ = ("parent", "mask", "_is_normal", "_as_group")
+    __slots__ = ("parent", "mask", "_as_group")
 
     def __init__(self, parent: Group, mask: int, verify: bool = True):
         if verify:
@@ -460,7 +458,6 @@ class Subgroup:
                 raise PreconditionError("set is not closed under products")
         self.parent = parent
         self.mask = mask
-        self._is_normal: bool | None = None
         self._as_group: tuple[Group, np.ndarray] | None = None
 
     @property
@@ -482,23 +479,7 @@ class Subgroup:
 
     @property
     def is_normal(self) -> bool:
-        if self._is_normal is None:
-            g = self.parent
-            bits = mask_to_bools(self.mask, g.order)
-            ok = True
-            for a in range(g.order):
-                conj = g.mult[g.mult[g.inv[a]], a]
-                if bools_to_mask(bits[conj]) != self.mask:
-                    ok = False
-                    break
-            self._is_normal = ok
-        return self._is_normal
-
-    def conjugate_by(self, a: int) -> "Subgroup":
-        g = self.parent
-        bits = mask_to_bools(self.mask, g.order)
-        conj = g.mult[g.mult[g.inv[a]], a]
-        return Subgroup(g, bools_to_mask(bits[conj]), verify=False)
+        return core_within(self, self.parent.whole_subgroup()) == self
 
     def as_group(self) -> tuple[Group, np.ndarray]:
         """Reindexed copy of this subgroup as a standalone Group.
@@ -570,16 +551,25 @@ def commutator_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, g._commutator_mask, verify=False)
 
 
+def coset_walk(g: Group, hmask: int, side: str = "right") -> Iterator[tuple[int, np.ndarray]]:
+    """(representative, membership array) for each right (Hx) or left (xH)
+    coset of the subgroup mask, representatives in increasing index order."""
+    hbits = mask_to_bools(hmask, g.order)
+    table = g.mult_t if side == "right" else g.mult
+    seen = np.zeros(g.order, dtype=bool)
+    for x in range(g.order):
+        if not seen[x]:
+            coset = hbits[table[g.inv[x]]]
+            seen |= coset
+            yield x, coset
+
+
 def quotient_by(g: Group, normal_mask: int, verify: bool = True) -> tuple[Group, np.ndarray]:
     """Quotient G/N for a normal subgroup mask; also returns the projection table."""
     n = g.order
-    nbits = mask_to_bools(normal_mask, n)
     proj = np.full(n, -1, dtype=np.int64)
     reps: list[int] = []
-    for x in range(n):
-        if proj[x] >= 0:
-            continue
-        coset = nbits[g.mult_t[g.inv[x]]]
+    for x, coset in coset_walk(g, normal_mask):
         proj[coset] = len(reps)
         reps.append(x)
     rep_arr = np.asarray(reps)
@@ -673,25 +663,36 @@ def abelian_coordinates(g: Group, basis: list[tuple[int, int]]) -> np.ndarray:
 # --- subgroup enumeration ------------------------------------------------------
 
 
-def _lattice_masks(g: Group, max_states: int) -> list[int]:
-    if g._lattice is not None:
-        return g._lattice
-    seeds = sorted({cyclic_mask(g, x) for x in range(1, g.order)})
+def cyclic_subgroups_inside(g: Group, region: int) -> list[int]:
+    """Sorted masks of the cyclic subgroups <x> contained in the region mask."""
+    cyclics = {cyclic_mask(g, int(x)) for x in mask_indices(region, g.order)}
+    return sorted(c for c in cyclics if not c & ~region)
+
+
+def subgroups_inside(g: Group, region: int, max_states: int) -> list[int]:
+    """Masks of every subgroup of G inside the region mask, by (order, mask):
+    depth-first closures of found subgroups joined with the cyclic subgroups
+    inside the region, dropping joins that leave it."""
+    seeds = cyclic_subgroups_inside(g, region)
     known = {1}
-    queue = [1]
-    while queue:
-        h = queue.pop()
+    stack = [1]
+    while stack:
+        h = stack.pop()
         for c in seeds:
             if c & ~h:
                 k = g.closure(h | c)
-                if k not in known:
-                    known.add(k)
-                    if len(known) > max_states:
-                        raise FeasibilityError(
-                            f"subgroup lattice exceeds {max_states} states"
-                        )
-                    queue.append(k)
-    g._lattice = sorted(known, key=lambda m: (m.bit_count(), m))
+                if k & ~region or k in known:
+                    continue
+                known.add(k)
+                if len(known) > max_states:
+                    raise FeasibilityError(f"subgroup search exceeds {max_states} states")
+                stack.append(k)
+    return sorted(known, key=lambda m: (m.bit_count(), m))
+
+
+def _lattice_masks(g: Group, max_states: int) -> list[int]:
+    if g._lattice is None:
+        g._lattice = subgroups_inside(g, (1 << g.order) - 1, max_states)
     return g._lattice
 
 
@@ -702,8 +703,9 @@ def enumerate_subgroups(
 ) -> list[Subgroup]:
     """All subgroups (optionally restricted to index <= max_index).
 
-    Closure-based breadth-first extension from cyclic subgroups, deduplicated
-    by member bitmask.  Unbounded enumeration is guarded to |G| <= 512.
+    Closure-based depth-first joins of cyclic subgroups (subgroups_inside),
+    deduplicated by member bitmask.  Unbounded enumeration is guarded to
+    |G| <= 512.
     """
     if max_index is None and g.order > UNBOUNDED_ENUMERATION_LIMIT:
         raise FeasibilityError(
@@ -717,13 +719,19 @@ def enumerate_subgroups(
     return subs
 
 
+def core_within(h: Subgroup, over: Subgroup) -> Subgroup:
+    """Intersection of the conjugates a H a^-1 for a in `over`: for H inside
+    `over`, the largest subgroup of H that is normal in `over`."""
+    g = h.parent
+    hbits = mask_to_bools(h.mask, g.order)
+    core = hbits.copy()
+    for a in over.element_indices():
+        core &= hbits[g.mult[g.mult[g.inv[a]], a]]
+    return Subgroup(g, bools_to_mask(core), verify=False)
+
+
 def normal_core(g: Group, h: Subgroup) -> Subgroup:
     """Largest normal subgroup of G contained in H (intersection of conjugates)."""
     if h.parent is not g and h.parent != g:
         raise GroupMismatchError("subgroup belongs to a different group")
-    core = mask_to_bools(h.mask, g.order).copy()
-    hbits = mask_to_bools(h.mask, g.order)
-    for a in range(g.order):
-        conj = g.mult[g.mult[g.inv[a]], a]
-        core &= hbits[conj]
-    return Subgroup(g, bools_to_mask(core), verify=False)
+    return core_within(h, g.whole_subgroup())

@@ -23,8 +23,17 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .groups import Group, Subgroup, _lattice_masks
-from .kernels import bools_to_mask, mask_indices, mask_to_bools
+from .groups import (
+    UNBOUNDED_ENUMERATION_LIMIT,
+    Group,
+    Subgroup,
+    _lattice_masks,
+    core_within,
+    coset_walk,
+    cyclic_subgroups_inside,
+    subgroups_inside,
+)
+from .kernels import bools_to_mask, mask_indices
 from .reporting import OMIT, as_key, card, digest
 from .rng import SplitRng
 from .sets import (
@@ -311,11 +320,8 @@ def croot_sisask(
 # --- subgroup discovery inside symmetric sets -----------------------------------
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    exhaustive_limit: int = 512
-    max_states: int = 100_000
-    heuristic_tries: int = 200
+# Subgroups the exhaustive oracle may find before it falls back to the heuristic.
+ORACLE_STATE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -328,47 +334,19 @@ class SubgroupWitness:
     method: str
 
 
-def _exhaustive_masks(g: Group, region: int, ambient: Subgroup, max_states: int) -> list[int]:
-    whole = ambient.mask == (1 << g.order) - 1
-    if whole and (g._lattice is not None or g.order <= 64):
-        inside = [m for m in _lattice_masks(g, max_states) if not m & ~region]
-        return sorted(inside, key=lambda m: (-m.bit_count(), m))
-    seeds = sorted(
-        {
-            c
-            for x in mask_indices(region, g.order)
-            if not (c := kernels.cyclic_mask(g, int(x))) & ~region
-        }
-    )
-    known = {1}
-    queue = [1]
-    while queue:
-        h = queue.pop()
-        for c in seeds:
-            if c & ~h:
-                k = g.closure(h | c)
-                if k & ~region or k in known:
-                    continue
-                known.add(k)
-                if len(known) > max_states:
-                    raise FeasibilityError("subgroup search exceeded state budget")
-                queue.append(k)
-    return sorted(known, key=lambda m: (-m.bit_count(), m))
+def _largest_first(m: int) -> tuple[int, int]:
+    return -m.bit_count(), m
 
 
-def _heuristic_masks(g: Group, region: int, budget: OracleBudget, rng: SplitRng) -> list[int]:
-    found = {1}
+def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[int]:
+    found = set(cyclic_subgroups_inside(g, region))
     for side in ("left", "right"):
         sym = kernels.symmetry_group_mask(g, region, side)
         if not sym & ~region:
             found.add(sym)
-    for x in mask_indices(region, g.order):
-        c = kernels.cyclic_mask(g, int(x))
-        if not c & ~region:
-            found.add(c)
-    pool = sorted(found, key=lambda m: (-m.bit_count(), m))
+    pool = sorted(found, key=_largest_first)
     region_elems = [int(i) for i in mask_indices(region, g.order)]
-    for _ in range(budget.heuristic_tries):
+    for _ in range(tries):
         base = rng.choice(pool[: min(8, len(pool))])
         x = rng.choice(region_elems)
         if base >> x & 1:
@@ -376,18 +354,19 @@ def _heuristic_masks(g: Group, region: int, budget: OracleBudget, rng: SplitRng)
         k = g.closure(base | (1 << x))
         if not k & ~region and k not in found:
             found.add(k)
-            pool = sorted(found, key=lambda m: (-m.bit_count(), m))
-    return sorted(found, key=lambda m: (-m.bit_count(), m))
+            pool = sorted(found, key=_largest_first)
+    return sorted(found, key=_largest_first)
 
 
 def subgroup_candidates_inside(
     w: GroupSet,
     ambient: Subgroup,
-    budget: OracleBudget | None = None,
+    heuristic_tries: int = 200,
     rng: SplitRng | None = None,
 ) -> tuple[list[int], str]:
-    """Candidate subgroup masks inside w, largest first, plus the method flag."""
-    budget = budget or OracleBudget()
+    """Candidate subgroup masks inside w, largest first, plus the method flag.
+    Exhaustive for ambients of order <= UNBOUNDED_ENUMERATION_LIMIT within
+    ORACLE_STATE_BUDGET states; otherwise heuristic_tries seeded closures."""
     rng = _default_rng(rng, "subgroup-oracle")
     g = w.group
     if not 0 in w:
@@ -397,26 +376,31 @@ def subgroup_candidates_inside(
     if w.mask & ~ambient.mask:
         raise PreconditionError("container must lie inside the ambient subgroup")
     region = w.mask & ambient.mask
-    if ambient.order <= budget.exhaustive_limit:
+    if ambient.order <= UNBOUNDED_ENUMERATION_LIMIT:
+        whole = ambient.mask == (1 << g.order) - 1
         try:
-            return _exhaustive_masks(g, region, ambient, budget.max_states), "exhaustive"
+            if whole and (g._lattice is not None or g.order <= 64):
+                masks = [m for m in _lattice_masks(g, ORACLE_STATE_BUDGET) if not m & ~region]
+            else:
+                masks = subgroups_inside(g, region, ORACLE_STATE_BUDGET)
+            return sorted(masks, key=_largest_first), "exhaustive"
         except FeasibilityError:
             pass
-    return _heuristic_masks(g, region, budget, rng), "heuristic"
+    return _heuristic_masks(g, region, heuristic_tries, rng), "heuristic"
 
 
 def largest_subgroup_inside(
     w: GroupSet,
     ambient: Subgroup,
-    budget: OracleBudget | None = None,
+    heuristic_tries: int = 200,
     rng: SplitRng | None = None,
 ) -> SubgroupWitness:
     """Best subgroup of the ambient contained in w.
 
-    Exhaustive (and provably maximal) when the ambient order is within the
-    budget; otherwise a seeded-closure heuristic, flagged as such.
+    Exhaustive (and provably maximal) when subgroup_candidates_inside can
+    search exhaustively; otherwise a seeded-closure heuristic, flagged as such.
     """
-    masks, method = subgroup_candidates_inside(w, ambient, budget, rng)
+    masks, method = subgroup_candidates_inside(w, ambient, heuristic_tries, rng)
     best = masks[0]
     sub = Subgroup(w.group, best)
     if best & ~w.mask:
@@ -425,17 +409,6 @@ def largest_subgroup_inside(
             reproducer={"group": w.group.label, "container": sorted(w)},
         )
     return SubgroupWitness(sub, w, ambient.order // sub.order, None, False, method)
-
-
-def _core_within(h: Subgroup, ambient: Subgroup) -> Subgroup:
-    """Intersection of the ambient-conjugates of H (normal in the ambient)."""
-    g = h.parent
-    core = mask_to_bools(h.mask, g.order).copy()
-    hbits = mask_to_bools(h.mask, g.order)
-    for a in ambient.element_indices():
-        conj = g.mult[g.mult[g.inv[a]], a]
-        core &= hbits[conj]
-    return Subgroup(g, bools_to_mask(core), verify=False)
 
 
 # --- Bogolyubov witnesses for bounded exponent ------------------------------------
@@ -465,7 +438,7 @@ def bogolyubov_bounded_exponent(
     mode: str,
     m: int = 4,
     normalize: bool = False,
-    budget: OracleBudget | None = None,
+    heuristic_tries: int = 200,
     rng: SplitRng | None = None,
     strategy: str = "greedy",
 ) -> BogolyubovReport:
@@ -480,16 +453,12 @@ def bogolyubov_bounded_exponent(
     y, trace = croot_sisask(
         a, mode, 4, strategy=strategy, rng=rng.derive("cs"), target=(ms.words, ms.w)
     )
-    witness = largest_subgroup_inside(ms.w, ms.sigma, budget, rng.derive("oracle"))
+    witness = largest_subgroup_inside(ms.w, ms.sigma, heuristic_tries, rng.derive("oracle"))
     sub = witness.subgroup
     normal_flag: bool | None = None
     if normalize:
-        core = _core_within(sub, ms.sigma)
-        normal_flag = all(
-            core.conjugate_by(int(g)).mask == core.mask
-            for g in ms.sigma.element_indices()
-        )
-        sub = core
+        sub = core_within(sub, ms.sigma)
+        normal_flag = core_within(sub, ms.sigma) == sub
     vm = power(ms.v, m)
     cover = covering_number(vm, sub.members, ms.sigma.members)
     witness = SubgroupWitness(
@@ -521,19 +490,7 @@ def bogolyubov_bounded_exponent(
 
 def coset_masks(g: Group, hmask: int, side: str = "right") -> list[tuple[int, int]]:
     """(representative, coset bitmask) pairs, reps in increasing index order."""
-    hbits = mask_to_bools(hmask, g.order)
-    seen = np.zeros(g.order, dtype=bool)
-    out = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        if side == "right":
-            cbits = hbits[g.mult_t[g.inv[x]]]
-        else:
-            cbits = hbits[g.mult[g.inv[x]]]
-        seen |= cbits
-        out.append((x, bools_to_mask(cbits)))
-    return out
+    return [(x, bools_to_mask(c)) for x, c in coset_walk(g, hmask, side)]
 
 
 def coset_structure(
@@ -701,7 +658,7 @@ def regularity_decompose(
     a: GroupSet,
     eps: Fraction,
     nu: Fraction,
-    oracle_budget: OracleBudget | None = None,
+    heuristic_tries: int = 200,
     vc_cap: int = 6,
     rng: SplitRng | None = None,
     side: str = "right",
@@ -761,7 +718,7 @@ def regularity_decompose(
     t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
     w = power(b, 4)
     candidates, method = subgroup_candidates_inside(
-        w, g.whole_subgroup(), oracle_budget, rng.derive("oracle")
+        w, g.whole_subgroup(), heuristic_tries, rng.derive("oracle")
     )
     stab_eps = stabilizer(a, eps).stabilizer
     retries = 0

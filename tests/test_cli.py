@@ -33,6 +33,14 @@ class TestParsing:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("ablab: parse error:")
 
+    def test_cached_group_still_honours_size_budget(self, capsys, tmp_path):
+        out = str(tmp_path / "g.json")
+        assert run(["group", "--group", "ea:2^8", "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["group", "--group", "ea:2^8", "--size-budget", "16", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ablab: error:")
+
     def test_group_spec_round_trip(self):
         for text in ["cyclic:8", "ea:2^6", "dihedral:4", "sym:4", "alt:5", "prod:cyclic:2+ea:2^2"]:
             spec = parse_group_spec(text)

@@ -9,7 +9,6 @@ from ablab import (
     GroupSet,
     SizeBudgetError,
     abelianization,
-    alternating_group,
     build_group,
     cyclic_group,
     dihedral_group,
@@ -23,8 +22,7 @@ from ablab import (
     subgroup_from_indices,
     symmetric_group,
 )
-from ablab.groups import GroupSpec
-from ablab.pipelines import _core_within
+from ablab.groups import GroupSpec, core_within
 
 from conftest import brute_closure, brute_normal_core, random_nonempty, rng
 
@@ -233,11 +231,9 @@ class TestNormalCore:
                 if k.is_normal and not k.mask & ~h.mask:
                     assert not k.mask & ~core.mask
 
-    @pytest.mark.parametrize(
-        "make", [lambda: symmetric_group(4), lambda: dihedral_group(6), lambda: alternating_group(4)]
-    )
-    def test_cores_match_plain_loop(self, make):
-        g = make()
+    @pytest.mark.parametrize("spec", ["sym:4", "dihedral:6", "alt:4"])
+    def test_cores_match_plain_loop(self, spec):
+        g = build_group(parse_group_spec(spec))
         subs = enumerate_subgroups(g)
         for h in subs:
             hset = set(h.members)
@@ -247,7 +243,7 @@ class TestNormalCore:
             for sigma in subs:
                 if not h.mask & ~sigma.mask:
                     expect = brute_normal_core(g, hset, sigma.members)
-                    assert set(_core_within(h, sigma).members) == expect
+                    assert set(core_within(h, sigma).members) == expect
 
     def test_core_index_reported_not_assumed(self, s4):
         h = [x for x in enumerate_subgroups(s4) if x.order == 4][0]

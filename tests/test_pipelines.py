@@ -5,7 +5,6 @@ import pytest
 from ablab import (
     FeasibilityError,
     GroupSet,
-    OracleBudget,
     PreconditionError,
     bogolyubov_bounded_exponent,
     coset_regularity,
@@ -203,9 +202,7 @@ class TestLargestSubgroupInside:
         g = elementary_abelian_group(2, 10)
         k = g.closure(0b1110)  # small subgroup
         w = GroupSet(g, k)
-        wit = largest_subgroup_inside(
-            w, g.whole_subgroup(), budget=OracleBudget(exhaustive_limit=64)
-        )
+        wit = largest_subgroup_inside(w, g.whole_subgroup())
         assert wit.method == "heuristic"
         assert wit.subgroup.mask == k  # symmetry-group candidate finds it exactly
 
