@@ -207,11 +207,7 @@ def _validate_table(table: np.ndarray, inv: np.ndarray) -> None:
     if not np.all(np.sort(table, axis=0) == idx[:, None]):
         raise GroupConstructionError("some column is not a permutation")
     if n <= FULL_ASSOCIATIVITY_LIMIT:
-        for x in range(n):
-            left = table[table[x]]
-            right = table[x][table]
-            if not np.array_equal(left, right):
-                raise GroupConstructionError(f"associativity fails at x={x}")
+        _check_associative(table)
     else:
         rng = np.random.default_rng(0x5EED)
         xs = rng.integers(0, n, SAMPLED_TRIPLES)
@@ -219,6 +215,34 @@ def _validate_table(table: np.ndarray, inv: np.ndarray) -> None:
         zs = rng.integers(0, n, SAMPLED_TRIPLES)
         if not np.array_equal(table[table[xs, ys], zs], table[xs, table[ys, zs]]):
             raise GroupConstructionError("associativity fails on sampled triples")
+
+
+def _check_associative(table: np.ndarray) -> None:
+    """Exact associativity check of a loop table by Light's test.
+
+    The y with (xy)z = x(yz) for all x, z contain 0 and are closed under
+    multiplication: for two of them, (x(ab))z = ((xa)b)z = (xa)(bz) =
+    x(a(bz)) = x((ab)z).  So it suffices to test generators: each y is the
+    first element outside the submagma generated by those before it, until
+    that submagma is the whole table.  In a group each new generator at
+    least doubles the subgroup, so at most log2(n) are tested.
+    """
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        y = int(np.argmin(reached))
+        if not np.array_equal(table[table[:, y]], table[:, table[y]]):
+            raise GroupConstructionError(f"associativity fails at y={y}")
+        reached[y] = True
+        new = np.array([y])
+        while new.size:
+            have = np.flatnonzero(reached)
+            products = np.concatenate(
+                (table[np.ix_(new, have)].ravel(), table[np.ix_(have, new)].ravel())
+            )
+            new = np.unique(products[~reached[products]])
+            reached[new] = True
 
 
 # --- builders ---------------------------------------------------------------
@@ -279,12 +303,14 @@ def dihedral_group(n: int, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
 
 
 def _perm_group(perms: list[tuple[int, ...]], label: str, family: dict) -> Group:
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.empty((size, size), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[t]] for t in range(len(p)))]
+    """Group of the listed permutations; index i is perms[i], i*j is p_i o p_j."""
+    p = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
+    m = p.shape[1]
+    radix = m ** np.arange(m)
+    index = np.full(m**m, -1, dtype=np.int64)
+    index[p @ radix] = np.arange(len(perms))
+    # p[:, p][i, j, t] = p_i(p_j(t))
+    table = index[p[:, p] @ radix]
     return Group(table, label, family)
 
 

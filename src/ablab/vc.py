@@ -3,6 +3,13 @@
 The VC dimension of a set A in a group is the VC dimension of the family of
 left translates {gA}.  The shattering search is exact: level-by-level over
 candidate base sets, pruning any set with an unshattered prefix.
+
+The search is anchored at the identity.  The family is closed under left
+multiplication, since h(gA) = (hg)A, so hx lies in gA iff x lies in
+(h^-1 g)A: the traces of the family on hX are its traces on X.  Hence X is
+shattered iff hX is, every shattered set has a translate x^-1 X that holds
+element 0, and only candidates containing 0 need to be searched.  That
+divides the candidates at every level by about |G|.
 """
 
 from __future__ import annotations
@@ -49,9 +56,14 @@ def vc_dimension(
 ) -> VcResult:
     """Largest d <= cap such that some d-element set is shattered by {gA}.
 
-    Exact level-wise search: a candidate is only extended if it is itself
-    shattered, and extensions are vectorized over all new points at once.
-    max_states bounds the survivor list (FeasibilityError beyond it).
+    Exact level-wise search over candidate sets that contain the identity:
+    a candidate is only extended if it is itself shattered, and extensions
+    are vectorized over all new points at once.  Restricting to the identity
+    loses nothing, because X is shattered iff hX is (module docstring), and
+    the witness is unchanged: candidates are sorted tuples in lexicographic
+    order, and the lexicographically smallest shattered set contains 0.
+    max_states bounds the candidate sets containing the identity kept at
+    one level (FeasibilityError beyond it).
     """
     g = a.group
     n = g.order
@@ -59,55 +71,47 @@ def vc_dimension(
     d_count = len(rows)
     if d_count <= 1:
         return VcResult(0, False, ())
+    if cap < 1:
+        return VcResult(0, True, ())
     # Bit-packed copies: extension checks reduce whole byte blocks at once.
     packed_one = np.packbits(rows, axis=1)
     packed_zero = np.packbits(~rows, axis=1)
     cols = rows.astype(np.int8)  # column reads without per-survivor casts
     nbytes = packed_one.shape[1]
-    survivors: list[tuple[int, ...]] = [()]
-    witness: tuple[int, ...] = ()
-    for level in range(1, cap + 1):
+    # {0} is shattered: A is neither empty nor all of G, so some translate
+    # holds the identity and some does not.
+    survivors: list[tuple[int, ...]] = [(0,)]
+    for level in range(2, cap + 1):
         if d_count < (1 << level):
-            return VcResult(level - 1, False, witness)
+            return VcResult(level - 1, False, survivors[0])
         new_survivors: list[tuple[int, ...]] = []
         for x in survivors:
+            pat = cols[:, x[0]].copy()
+            for i, c in enumerate(x[1:], 1):
+                pat |= cols[:, c] << i
+            # Most restrictive (smallest) class first: dead extensions
+            # short-circuit after one or two reductions.
+            sizes = np.bincount(pat, minlength=1 << len(x))
             okp = np.full(nbytes, 0xFF, dtype=np.uint8)
-            if x:
-                pat = cols[:, x[0]].copy()
-                for i, c in enumerate(x[1:], 1):
-                    pat |= cols[:, c] << i
-                # Most restrictive (smallest) class first: dead extensions
-                # short-circuit after one or two reductions.
-                sizes = np.bincount(pat, minlength=1 << len(x))
-                if sizes.min() == 0:
-                    continue  # unreachable for survivors; defensive
-                alive = True
-                for p in np.argsort(sizes, kind="stable"):
-                    sel = pat == p
-                    okp &= np.bitwise_or.reduce(packed_one[sel], axis=0)
-                    okp &= np.bitwise_or.reduce(packed_zero[sel], axis=0)
-                    if not okp.any():
-                        alive = False
-                        break
-                if not alive:
-                    continue
+            for p in np.argsort(sizes, kind="stable"):
+                sel = pat == p
+                okp &= np.bitwise_or.reduce(packed_one[sel], axis=0)
+                okp &= np.bitwise_or.reduce(packed_zero[sel], axis=0)
+                if not okp.any():
+                    break  # no extension of x is shattered
             else:
-                okp &= np.bitwise_or.reduce(packed_one, axis=0)
-                okp &= np.bitwise_or.reduce(packed_zero, axis=0)
-            ok = np.unpackbits(okp, count=n).astype(bool)
-            if x:
+                ok = np.unpackbits(okp, count=n).astype(bool)
                 ok[: x[-1] + 1] = False
-            for w in np.flatnonzero(ok):
-                new_survivors.append(x + (int(w),))
-            if len(new_survivors) > max_states:
-                raise FeasibilityError(
-                    f"shattering search exceeded {max_states} candidate sets"
-                )
+                new_survivors.extend(x + (int(w),) for w in np.flatnonzero(ok))
+                if len(new_survivors) > max_states:
+                    raise FeasibilityError(
+                        f"shattering search exceeded {max_states} candidate sets"
+                        f" containing the identity at level {level}"
+                    )
         if not new_survivors:
-            return VcResult(level - 1, False, witness)
+            return VcResult(level - 1, False, survivors[0])
         survivors = new_survivors
-        witness = survivors[0]
-    return VcResult(cap, True, witness)
+    return VcResult(cap, True, survivors[0])
 
 
 def naive_vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ablab import (
@@ -21,6 +22,7 @@ from ablab import (
     elementary_abelian_group,
     symmetric_group,
 )
+from ablab.vc import VcResult
 
 
 @pytest.fixture(scope="session")
@@ -152,3 +154,71 @@ def brute_normal_core(g: Group, hset, over) -> frozenset[int]:
         for x in hset
         if all(g.mul(g.mul(a, x), g.invert(a)) in hset for a in over)
     )
+
+
+def brute_associative(table) -> bool:
+    """(xy)z == x(yz) for every triple, by plain element loops."""
+    t = [list(map(int, row)) for row in table]
+    n = len(t)
+    return all(
+        t[t[x][y]][z] == t[x][t[y][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def levelwise_vc_dimension(a: GroupSet, cap: int) -> VcResult:
+    """Unanchored level-wise shattering search, started from the empty set.
+
+    Survivors of level k are all shattered k-sets as sorted tuples in
+    lexicographic order, so the witness is the lexicographically smallest
+    shattered set of the last level reached.  Membership is read from
+    plain Python sets of translates.
+    """
+    g = a.group
+    n = g.order
+    members = set(a)
+    translates = {frozenset(g.mul(t, x) for x in members) for t in range(n)}
+    if len(translates) <= 1:
+        return VcResult(0, False, ())
+
+    def shattered(x) -> bool:
+        return len({tuple(e in tr for e in x) for tr in translates}) == 1 << len(x)
+
+    survivors: list[tuple[int, ...]] = [()]
+    witness: tuple[int, ...] = ()
+    for level in range(1, cap + 1):
+        fresh = [
+            x + (w,)
+            for x in survivors
+            for w in range(x[-1] + 1 if x else 0, n)
+            if shattered(x + (w,))
+        ]
+        if not fresh:
+            return VcResult(level - 1, False, witness)
+        survivors = fresh
+        witness = survivors[0]
+    return VcResult(cap, True, witness)
+
+
+def random_loop(g: Group, r: SplitRng, swaps: int = 3) -> np.ndarray:
+    """Cayley table of g with a few random intercalates swapped.
+
+    An intercalate is a 2x2 subsquare [[a, b], [b, a]]; swapping its two
+    symbols keeps the table a Latin square.  Swaps avoid row 0, column 0
+    and symbol 0, so the result is a loop with two-sided inverses that is
+    usually not associative.  g must have even order: a group table has an
+    intercalate only if the group has an element of order 2.
+    """
+    t = np.array(g.mult, dtype=np.int64)
+    n = g.order
+    done = 0
+    while done < swaps:
+        x, y, u = (r.randint(1, n - 1) for _ in range(3))
+        a, b = t[x, u], t[y, u]
+        v = int(np.flatnonzero(t[x] == b)[0])
+        if x != y and v != 0 and 0 not in (a, b) and t[y, v] == a:
+            t[x, u], t[y, u], t[x, v], t[y, v] = b, a, a, b
+            done += 1
+    return t

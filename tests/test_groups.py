@@ -9,6 +9,7 @@ from ablab import (
     GroupSet,
     SizeBudgetError,
     abelianization,
+    alternating_group,
     build_group,
     cyclic_group,
     dihedral_group,
@@ -22,9 +23,16 @@ from ablab import (
     subgroup_from_indices,
     symmetric_group,
 )
-from ablab.groups import GroupSpec, core_within
+from ablab.groups import Group, GroupSpec, core_within
 
-from conftest import brute_closure, brute_normal_core, random_nonempty, rng
+from conftest import (
+    brute_associative,
+    brute_closure,
+    brute_normal_core,
+    random_loop,
+    random_nonempty,
+    rng,
+)
 
 
 def brute_element_order(g, x):
@@ -106,6 +114,30 @@ class TestBuilders:
 
         with pytest.raises(GroupConstructionError):
             Group(t, "loop5")
+
+
+class TestAssociativityCheck:
+    """Light's test in the table validator against a plain triple loop."""
+
+    def test_zoo_tables_are_associative(self, small_zoo, d4):
+        for g in small_zoo + [d4, alternating_group(4), cyclic_group(15)]:
+            assert brute_associative(g.mult)
+            Group(g.mult, "copy")  # validates without raising
+
+    @pytest.mark.parametrize("spec", ["ea:2^4", "cyclic:12", "dihedral:6", "sym:4"])
+    def test_random_loops_match_the_triple_loop(self, spec):
+        g = build_group(parse_group_spec(spec))
+        r = rng(f"loops-{spec}")
+        broken = 0
+        for trial in range(15):
+            t = random_loop(g, r, swaps=1 + trial % 3)
+            if brute_associative(t):
+                Group(t, "loop")
+            else:
+                broken += 1
+                with pytest.raises(GroupConstructionError, match="associativity"):
+                    Group(t, "loop")
+        assert broken >= 10  # the loops do exercise the failing branch
 
 
 class TestInvariants:

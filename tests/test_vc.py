@@ -1,20 +1,39 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ablab.vc
 from ablab import (
+    FeasibilityError,
     GroupSet,
     PreconditionError,
+    alternating_group,
     cyclic_group,
+    dihedral_group,
     elementary_abelian_group,
     haussler_check,
     naive_vc_dimension,
     stabilizer,
     subgroup_from_indices,
+    symmetric_group,
     vc_dimension,
 )
+from ablab.cli import main
+from ablab.vc import VcResult
 
-from conftest import random_nonempty, rng
+from conftest import levelwise_vc_dimension, random_nonempty, rng
+
+ZOO = {
+    "cyclic:12": cyclic_group(12),
+    "cyclic:16": cyclic_group(16),
+    "ea:2^4": elementary_abelian_group(2, 4),
+    "ea:3^2": elementary_abelian_group(3, 2),
+    "dihedral:6": dihedral_group(6),
+    "sym:4": symmetric_group(4),
+    "alt:4": alternating_group(4),
+}
 
 
 class TestVcDimension:
@@ -60,6 +79,68 @@ class TestVcDimension:
                 tr = tuple(d6.mul(d6.invert(g), x) in members for x in res.witness)
                 traces.add(tr)
             assert len(traces) == 1 << len(res.witness)
+
+
+class TestAnchoredSearch:
+    """The search from (0,) against the unanchored search from ()."""
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_matches_levelwise_search(self, name):
+        g = ZOO[name]
+        r = rng(f"vc-anchor-{name}")
+        for density in (F(1, 4), F(1, 2), F(2, 3)):
+            for _ in range(3):
+                a = random_nonempty(g, r, density)
+                for cap in range(5):
+                    assert vc_dimension(a, cap) == levelwise_vc_dimension(a, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["sym:4", "dihedral:6", "ea:2^4"]),
+        st.integers(min_value=0),
+        st.integers(0, 4),
+    )
+    def test_property_matches_levelwise_search(self, name, bits, cap):
+        g = ZOO[name]
+        a = GroupSet(g, bits % (1 << g.order))
+        assert vc_dimension(a, cap) == levelwise_vc_dimension(a, cap)
+
+    def test_cap_zero_on_a_proper_set(self, s4):
+        a = GroupSet.from_indices(s4, [1, 2, 5])
+        assert vc_dimension(a, cap=0) == VcResult(0, True, ())
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_empty_and_full_sets(self, d6, cap):
+        for a in (GroupSet.empty(d6), GroupSet.full(d6)):
+            assert vc_dimension(a, cap) == VcResult(0, False, ())
+
+    def test_nonempty_witnesses_contain_the_identity(self):
+        r = rng("vc-anchor-witness")
+        for g in ZOO.values():
+            for _ in range(4):
+                res = vc_dimension(random_nonempty(g, r, F(1, 2)), cap=3)
+                assert not res.witness or res.witness[0] == 0
+
+    def test_budget_names_its_limit_and_level(self):
+        g = elementary_abelian_group(2, 6)
+        a = random_nonempty(g, rng("vc-budget"), F(1, 2))
+        with pytest.raises(FeasibilityError) as info:
+            vc_dimension(a, cap=4, max_states=10)
+        assert str(info.value) == (
+            "shattering search exceeded 10 candidate sets containing the"
+            " identity at level 2"
+        )
+
+    def test_budget_exit_is_code_3_with_one_line(self, capsys, monkeypatch):
+        small = functools.partial(vc_dimension, max_states=10)
+        monkeypatch.setattr(ablab.vc, "vc_dimension", small)
+        argv = ["diagnose", "--group", "ea:2^6", "--set", "random:density=1/2,seed=3"]
+        assert main(argv + ["--vc-cap", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "ablab: budget/cap exhausted: shattering search exceeded 10"
+            " candidate sets containing the identity at level 2"
+        ]
 
 
 class TestStabilizer:
