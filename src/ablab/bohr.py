@@ -26,36 +26,30 @@ from .reporting import OMIT, as_key, digest
 from .sets import GroupSet
 from .torus import TorusMap, characters, product_map, trivial_map
 
-_METRICS = ("linf", "l1", "l2")
+
+def _deviation(f: TorusMap) -> np.ndarray:
+    """Per-coordinate distance to 0 of each value of f, as numerators over f.den."""
+    return np.minimum(f.nums, f.den - f.nums)
 
 
-def _sublevel_positions(f: TorusMap, bound: Fraction, metric: str) -> np.ndarray:
-    """Boolean row selector for {x : d(f(x), 0) < bound}, exact comparison."""
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}")
-    if f.dim == 0:
-        return np.ones(f.domain.order, dtype=bool)
-    dev = np.minimum(f.nums, f.den - f.nums)
-    num, den = bound.numerator, bound.denominator
-    if metric == "linf":
-        agg = dev.max(axis=1)
-        return agg * den < num * f.den
-    if metric == "l1":
-        agg = dev.sum(axis=1)
-        return agg * den < num * f.den
-    agg = (dev.astype(object) ** 2).sum(axis=1)
-    return agg * den**2 < num**2 * f.den**2
-
-
-def _positions_to_set(f: TorusMap, member: np.ndarray) -> GroupSet:
+def _sublevel_mask(elems: np.ndarray, dev: np.ndarray, den: int, bound: Fraction) -> int:
+    """Mask of the elems[i] with dev[i] / den < bound, exact comparison."""
     mask = 0
-    for e in f.elems[member]:
+    for e in elems[dev * bound.denominator < bound.numerator * den]:
         mask |= 1 << int(e)
-    return GroupSet(f.domain.parent, mask)
+    return mask
+
+
+def _sup_sublevel_set(f: TorusMap, bound: Fraction) -> GroupSet:
+    """{x : d(f(x), 0) < bound} in the sup metric."""
+    if f.dim == 0:
+        return f.domain.members
+    dev = _deviation(f).max(axis=1)
+    return GroupSet(f.domain.parent, _sublevel_mask(f.elems, dev, f.den, bound))
 
 
 def bohr_set(
-    h: Subgroup, tau: TorusMap, delta: Fraction, metric: str = "linf"
+    h: Subgroup, tau: TorusMap, delta: Fraction
 ) -> GroupSet:
     """{x in H : d(0, tau(x)) < delta} for an exact homomorphism tau."""
     delta = Fraction(delta)
@@ -65,11 +59,11 @@ def bohr_set(
         raise GroupMismatchError("tau is not defined on the given subgroup")
     if not tau.is_exact:
         raise NotExactError("bohr_set needs an exact homomorphism")
-    return _positions_to_set(tau, _sublevel_positions(tau, delta, metric))
+    return _sup_sublevel_set(tau, delta)
 
 
 def approx_bohr_set(
-    h: Subgroup, f: TorusMap, eps: Fraction, metric: str = "linf"
+    h: Subgroup, f: TorusMap, eps: Fraction
 ) -> GroupSet:
     """Sublevel set of an arbitrary map with f(1)=0; no homomorphism required."""
     eps = Fraction(eps)
@@ -77,7 +71,7 @@ def approx_bohr_set(
         raise GroupMismatchError("f is not defined on the given subgroup")
     if not f.maps_identity_to_zero():
         raise PreconditionError("f must send the identity to 0")
-    return _positions_to_set(f, _sublevel_positions(f, eps, metric))
+    return _sup_sublevel_set(f, eps)
 
 
 # --- rounding approximate homomorphisms to exact ones ------------------------
@@ -229,7 +223,7 @@ def bohr_witness_search(
     for i, c in enumerate(chars):
         if c.nums.any():
             nontrivial.append(i)
-            devs.append(np.minimum(c.nums[:, 0], den - c.nums[:, 0]))
+            devs.append(_deviation(c)[:, 0])
     elems = h.element_indices()
     budget = max_maps
     for dim in range(1, n_max + 1):
@@ -242,10 +236,7 @@ def bohr_witness_search(
             for c in combo[1:]:
                 dev = np.maximum(dev, devs[c])
             for delta in grid:
-                member = dev * delta.denominator < delta.numerator * den
-                mask = 0
-                for e in elems[member]:
-                    mask |= 1 << int(e)
+                mask = _sublevel_mask(elems, dev, den, delta)
                 if mask & ~container.mask:
                     continue
                 bohr = GroupSet(container.group, mask)

@@ -174,7 +174,7 @@ def _structured_set(g: Group, r: SplitRng) -> GroupSet:
     subs = enumerate_subgroups(g)
     k = r.choice([s for s in subs if s.order >= 2])
     mask = 0
-    for _, cmask in pipelines.coset_masks(g, k.mask, "right"):
+    for _, cmask in pipelines.coset_masks(g, k.mask):
         if r.randint(0, 1):
             mask |= cmask
     for _ in range(r.randint(0, 2)):
@@ -589,6 +589,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if value == []:  # argparse reads "--opt=--" as an empty list
+                raise SpecSyntaxError(f"--{name.replace('_', '-')} needs a value")
         return args.func(args)
     except SpecSyntaxError as exc:
         print(f"ablab: parse error: {exc}", file=sys.stderr)

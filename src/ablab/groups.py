@@ -577,15 +577,14 @@ def commutator_subgroup(g: Group) -> Subgroup:
     return Subgroup(g, g._commutator_mask, verify=False)
 
 
-def coset_walk(g: Group, hmask: int, side: str = "right") -> Iterator[tuple[int, np.ndarray]]:
-    """(representative, membership array) for each right (Hx) or left (xH)
-    coset of the subgroup mask, representatives in increasing index order."""
+def coset_walk(g: Group, hmask: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(representative, membership array) for each right coset Hx of the
+    subgroup mask, representatives in increasing index order."""
     hbits = mask_to_bools(hmask, g.order)
-    table = g.mult_t if side == "right" else g.mult
     seen = np.zeros(g.order, dtype=bool)
     for x in range(g.order):
         if not seen[x]:
-            coset = hbits[table[g.inv[x]]]
+            coset = hbits[g.mult_t[g.inv[x]]]
             seen |= coset
             yield x, coset
 
@@ -725,7 +724,6 @@ def _lattice_masks(g: Group, max_states: int) -> list[int]:
 def enumerate_subgroups(
     g: Group,
     max_index: int | None = None,
-    max_states: int = LATTICE_STATE_BUDGET,
 ) -> list[Subgroup]:
     """All subgroups (optionally restricted to index <= max_index).
 
@@ -738,7 +736,7 @@ def enumerate_subgroups(
             f"unbounded enumeration needs |G| <= {UNBOUNDED_ENUMERATION_LIMIT}; "
             "pass max_index"
         )
-    masks = _lattice_masks(g, max_states)
+    masks = _lattice_masks(g, LATTICE_STATE_BUDGET)
     subs = [Subgroup(g, m, verify=False) for m in masks]
     if max_index is not None:
         subs = [h for h in subs if h.index <= max_index]

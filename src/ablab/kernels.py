@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Cap on rows materialized per gather; keeps peak memory modest.
+# Cap on the cells of one translate-row block; keeps peak memory modest.
 _CHUNK_CELLS = 1 << 23
 
 
@@ -34,48 +34,33 @@ def inverse_mask(group, mask: int) -> int:
     return bools_to_mask(bits[group.inv])
 
 
-def left_translate_mask(group, g: int, mask: int) -> int:
-    """{g*y : y in set}:  z is a member iff g^-1 z is."""
-    if mask == 0:
-        return 0
-    bits = mask_to_bools(mask, group.order)
-    return bools_to_mask(bits[group.mult[group.inv[g]]])
-
-
-def right_translate_mask(group, mask: int, g: int) -> int:
-    """{x*g : x in set}:  z is a member iff z g^-1 is."""
-    if mask == 0:
-        return 0
-    bits = mask_to_bools(mask, group.order)
-    return bools_to_mask(bits[group.mult_t[group.inv[g]]])
-
-
-def _gather_any(table: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """OR of bits[table[r]] over the given rows, chunked."""
-    n = table.shape[1]
-    out = np.zeros(n, dtype=bool)
-    step = max(1, _CHUNK_CELLS // n)
-    for i in range(0, len(rows), step):
-        chunk = table[rows[i : i + step]]
-        out |= bits[chunk].any(axis=0)
-    return out
+def translate_rows(group, bits: np.ndarray, elems: np.ndarray, side: str = "left"):
+    """Yield (block, rows) over consecutive blocks of elems, where bits is the
+    indicator of a set S and rows[i] is the indicator of g*S (or S*g when
+    side="right") for g = block[i]:  z is in gS iff g^-1 z is in S.  A block
+    holds at most _CHUNK_CELLS cells."""
+    table = group.mult if side == "left" else group.mult_t
+    step = max(1, _CHUNK_CELLS // group.order)
+    for i in range(0, len(elems), step):
+        block = elems[i : i + step]
+        yield block, bits[table[group.inv[block]]]
 
 
 def product_mask(group, xmask: int, ymask: int) -> int:
-    """Exact product set {x*y}; iterates the smaller operand."""
+    """Exact product set {x*y}: the union of the translates xY (or Xy),
+    iterating the smaller operand."""
     if xmask == 0 or ymask == 0:
         return 0
     n = group.order
-    cx = xmask.bit_count()
-    cy = ymask.bit_count()
-    if cx <= cy:
-        xs = mask_indices(xmask, n)
-        ybits = mask_to_bools(ymask, n)
-        out = _gather_any(group.mult, group.inv[xs], ybits)
+    if xmask.bit_count() <= ymask.bit_count():
+        blocks = translate_rows(group, mask_to_bools(ymask, n), mask_indices(xmask, n))
     else:
-        ys = mask_indices(ymask, n)
-        xbits = mask_to_bools(xmask, n)
-        out = _gather_any(group.mult_t, group.inv[ys], xbits)
+        blocks = translate_rows(
+            group, mask_to_bools(xmask, n), mask_indices(ymask, n), "right"
+        )
+    out = np.zeros(n, dtype=bool)
+    for _, rows in blocks:
+        out |= rows.any(axis=0)
     return bools_to_mask(out)
 
 
@@ -146,12 +131,9 @@ def translate_diff_counts(group, mask: int, side: str = "left") -> np.ndarray:
     """|gA symdiff A| for every g (or |Ag symdiff A| when side="right")."""
     n = group.order
     bits = mask_to_bools(mask, n)
-    table = group.mult if side == "left" else group.mult_t
     counts = np.empty(n, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // n)
-    for i in range(0, n, step):
-        rows = table[group.inv[np.arange(i, min(n, i + step))]]
-        counts[i : i + step] = (bits[rows] ^ bits[None, :]).sum(axis=1)
+    for block, rows in translate_rows(group, bits, np.arange(n), side):
+        counts[block] = (rows ^ bits).sum(axis=1)
     return counts
 
 

@@ -138,7 +138,7 @@ class CSTrace:
     verified_n: int
     y: GroupSet
     w: GroupSet = field(metadata=as_key("w_card", card))
-    covering_count: int | None
+    covering_count: int
     degenerate: bool
     targets: tuple[CSTargetTrace, ...]
 
@@ -155,7 +155,7 @@ def _greedy_b(x: GroupSet, z: GroupSet, size: int) -> GroupSet:
     """Grow B inside X minimizing |BZ|, one element at a time."""
     g = x.group
     xs = x.indices()
-    rows = z.bools[g.mult[g.inv[xs]]]
+    rows = np.concatenate([r for _, r in kernels.translate_rows(g, z.bools, xs)])
     covered = np.zeros(g.order, dtype=bool)
     avail = np.ones(len(xs), dtype=bool)
     sentinel = np.iinfo(np.int64).max
@@ -169,11 +169,11 @@ def _greedy_b(x: GroupSet, z: GroupSet, size: int) -> GroupSet:
     return GroupSet(g, mask)
 
 
-def _random_b(x: GroupSet, z: GroupSet, size: int, rng: SplitRng, restarts: int = 4) -> GroupSet:
+def _random_b(x: GroupSet, z: GroupSet, size: int, rng: SplitRng) -> GroupSet:
     xs = [int(i) for i in x.indices()]
     best: GroupSet | None = None
     best_bz = -1
-    for _ in range(restarts):
+    for _ in range(4):
         mask = 0
         for i in rng.sample(xs, size):
             mask |= 1 << i
@@ -198,19 +198,14 @@ def _pick_b(x: GroupSet, z: GroupSet, size: int, strategy: str, rng: SplitRng) -
 
 def _ystar(v2: GroupSet, b: GroupSet, thr: Fraction, card_x: int) -> GroupSet:
     """{g in V^2 : |gB intersect B| >= thr * |X|}, exact integer comparison."""
-    g = v2.group
     bb = b.bools
-    idxs = v2.indices()
     out = 0
-    step = max(1, (1 << 22) // g.order)
-    for i in range(0, len(idxs), step):
-        chunk = idxs[i : i + step]
-        rows = bb[g.mult[g.inv[chunk]]]
-        counts = (rows & bb[None, :]).sum(axis=1)
+    for block, rows in kernels.translate_rows(v2.group, bb, v2.indices()):
+        counts = (rows & bb).sum(axis=1)
         hit = counts * thr.denominator >= thr.numerator * card_x
-        for e in chunk[hit]:
+        for e in block[hit]:
             out |= 1 << int(e)
-    return GroupSet(g, out)
+    return GroupSet(v2.group, out)
 
 
 def _cs_target(
@@ -251,7 +246,6 @@ def croot_sisask(
     n: int,
     strategy: str = "greedy",
     rng: SplitRng | None = None,
-    with_covering: bool = True,
     target: tuple[dict[str, GroupSet], GroupSet] | None = None,
 ) -> tuple[GroupSet, CSTrace]:
     """Symmetric Y containing 1 with Y^n inside the mode's containment target.
@@ -309,10 +303,8 @@ def croot_sisask(
             "croot_sisask produced a non-symmetric Y",
             reproducer={"group": g.label, "set": sorted(x), "mode": mode, "n": n},
         )
-    covering = None
-    if with_covering:
-        v2 = product(v, v)
-        covering = v2.card if degenerate else covering_number(v2, y, v2)
+    v2 = product(v, v)
+    covering = v2.card if degenerate else covering_number(v2, y, v2)
     trace = CSTrace(mode, n, y, w, covering, degenerate, targets)
     return y, trace
 
@@ -488,19 +480,19 @@ def bogolyubov_bounded_exponent(
 # --- coset structure and regularity ------------------------------------------------
 
 
-def coset_masks(g: Group, hmask: int, side: str = "right") -> list[tuple[int, int]]:
-    """(representative, coset bitmask) pairs, reps in increasing index order."""
-    return [(x, bools_to_mask(c)) for x, c in coset_walk(g, hmask, side)]
+def coset_masks(g: Group, hmask: int) -> list[tuple[int, int]]:
+    """(representative, right coset bitmask) pairs, reps in increasing index order."""
+    return [(x, bools_to_mask(c)) for x, c in coset_walk(g, hmask)]
 
 
 def coset_structure(
-    a: GroupSet, h: Subgroup, side: str = "right"
+    a: GroupSet, h: Subgroup
 ) -> tuple[GroupSet, Fraction]:
-    """Union D of the cosets meeting A in at least half their points."""
+    """Union D of the right cosets meeting A in at least half their points."""
     if h.parent != a.group:
         raise GroupMismatchError("subgroup belongs to a different group")
     dmask = 0
-    for _, cmask in coset_masks(a.group, h.mask, side):
+    for _, cmask in coset_masks(a.group, h.mask):
         if 2 * (cmask & a.mask).bit_count() >= h.order:
             dmask |= cmask
     d = GroupSet(a.group, dmask)
@@ -509,11 +501,11 @@ def coset_structure(
 
 
 def coset_regularity(
-    a: GroupSet, h: Subgroup, eps: Fraction, side: str = "right"
+    a: GroupSet, h: Subgroup, eps: Fraction
 ) -> tuple[GroupSet, list[dict]]:
     """Exceptional-coset set Z and the per-coset dichotomy table.
 
-    A coset C is exceptional when |C∩A| |C\\A| exceeds sqrt(eps) |H|^2; the
+    A right coset C is exceptional when |C∩A| |C\\A| exceeds sqrt(eps) |H|^2; the
     comparison is done squared to stay in exact integers.
     """
     eps = Fraction(eps)
@@ -524,7 +516,7 @@ def coset_regularity(
     hord = h.order
     zmask = 0
     table = []
-    for rep, cmask in coset_masks(a.group, h.mask, side):
+    for rep, cmask in coset_masks(a.group, h.mask):
         cin = (cmask & a.mask).bit_count()
         cout = hord - cin
         prodsq = (cin * cout) ** 2
@@ -661,7 +653,6 @@ def regularity_decompose(
     heuristic_tries: int = 200,
     vc_cap: int = 6,
     rng: SplitRng | None = None,
-    side: str = "right",
 ) -> RegularityReport:
     """Stabilizer-based regularity decomposition with verified postconditions.
 
@@ -729,10 +720,10 @@ def regularity_decompose(
             break
         retries += 1
     sub = Subgroup(g, chosen)
-    d_set, defect = coset_structure(a, sub, side)
-    z, table = coset_regularity(a, sub, eps, side)
+    d_set, defect = coset_structure(a, sub)
+    z, table = coset_regularity(a, sub, eps)
     cover = covering_number(b, sub.members, GroupSet.full(g)) if b.card else None
-    cosets = coset_masks(g, sub.mask, side)
+    cosets = coset_masks(g, sub.mask)
     union_ok = all(
         (cmask & d_set.mask) in (0, cmask) for _, cmask in cosets
     )

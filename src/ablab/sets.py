@@ -142,9 +142,9 @@ class GroupSet:
         h.update(self.mask.to_bytes((self.group.order + 7) // 8, "little"))
         return h.hexdigest()
 
-    def to_json(self, elems_limit: int = 512) -> dict:
+    def to_json(self) -> dict:
         out: dict = {"card": self.card, "digest": self.digest()}
-        if self.card <= elems_limit:
+        if self.card <= 512:
             out["elems"] = [int(i) for i in self.indices()]
         else:
             nbytes = (self.group.order + 7) // 8
@@ -183,11 +183,13 @@ def bar_closure(x: GroupSet) -> GroupSet:
 
 
 def left_translate(g: int, x: GroupSet) -> GroupSet:
-    return GroupSet(x.group, kernels.left_translate_mask(x.group, g, x.mask))
+    _, rows = next(kernels.translate_rows(x.group, x.bools, np.array([g])))
+    return GroupSet(x.group, kernels.bools_to_mask(rows[0]))
 
 
 def right_translate(x: GroupSet, g: int) -> GroupSet:
-    return GroupSet(x.group, kernels.right_translate_mask(x.group, x.mask, g))
+    _, rows = next(kernels.translate_rows(x.group, x.bools, np.array([g]), "right"))
+    return GroupSet(x.group, kernels.bools_to_mask(rows[0]))
 
 
 def eval_word(x: GroupSet, signs: str) -> GroupSet:
@@ -263,13 +265,12 @@ def ruzsa_triangle_ok(x: GroupSet, y: GroupSet, z: GroupSet) -> bool:
 
 def _translate_parts(x: GroupSet, y: GroupSet, pool: GroupSet) -> list[tuple[int, int]]:
     """(g, mask of gY intersect X) for g in the pool, dropping empty parts."""
-    g = x.group
-    ybits = y.bools
     parts = []
-    for gi in pool.indices():
-        tmask = kernels.bools_to_mask(ybits[g.mult[g.inv[gi]]]) & x.mask
-        if tmask:
-            parts.append((int(gi), tmask))
+    for block, rows in kernels.translate_rows(x.group, y.bools, pool.indices()):
+        rows &= x.bools
+        keep = rows.any(axis=1)
+        for gi, row in zip(block[keep], rows[keep]):
+            parts.append((int(gi), kernels.bools_to_mask(row)))
     return parts
 
 
@@ -490,7 +491,7 @@ def _literal_set(group: Group, items: list, text: str) -> GroupSet:
     return GroupSet.from_indices(group, items)
 
 
-def parse_set_spec(group: Group, text: str, rng: SplitRng | None = None) -> GroupSet:
+def parse_set_spec(group: Group, text: str) -> GroupSet:
     """Parse a set literal over the given group.
 
     Grammar: elems:[i,...] | random:density=p,seed=s | interval:a..b |

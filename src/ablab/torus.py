@@ -25,8 +25,6 @@ from .groups import (
 
 DEFAULT_DENOMINATOR_LIMIT = 10**6
 
-_METRICS = ("linf", "l1")
-
 
 @dataclass(frozen=True)
 class TorusVec:
@@ -65,16 +63,12 @@ def circle_distance(a: Fraction, b: Fraction = Fraction(0)) -> Fraction:
     return min(d, 1 - d)
 
 
-def torus_distance(u: TorusVec, v: TorusVec, metric: str = "linf") -> Fraction:
-    """Invariant metric on the torus; default is the max over coordinates."""
+def torus_distance(u: TorusVec, v: TorusVec) -> Fraction:
+    """Invariant metric on the torus: the max over coordinates."""
     if u.dim != v.dim:
         raise DimensionMismatchError(f"dimensions {u.dim} vs {v.dim}")
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}")
     per = [circle_distance(a, b) for a, b in zip(u.coords, v.coords)]
-    if not per:
-        return Fraction(0)
-    return max(per) if metric == "linf" else sum(per, Fraction(0))
+    return max(per, default=Fraction(0))
 
 
 class TorusMap:
@@ -102,7 +96,6 @@ class TorusMap:
         cls,
         domain: Subgroup,
         rows: Sequence[Sequence[Fraction]],
-        den_limit: int = DEFAULT_DENOMINATOR_LIMIT,
     ) -> "TorusMap":
         rows = [[Fraction(c) % 1 for c in row] for row in rows]
         if len({len(r) for r in rows}) > 1:
@@ -111,9 +104,9 @@ class TorusMap:
         for row in rows:
             for c in row:
                 den = math.lcm(den, c.denominator)
-                if den > den_limit:
+                if den > DEFAULT_DENOMINATOR_LIMIT:
                     raise PreconditionError(
-                        f"common denominator exceeds limit {den_limit}"
+                        f"common denominator exceeds limit {DEFAULT_DENOMINATOR_LIMIT}"
                     )
         nums = np.array(
             [[int(c * den) for c in row] for row in rows], dtype=np.int64

@@ -39,13 +39,11 @@ class VcResult:
 
 
 def _distinct_translate_rows(a: GroupSet) -> np.ndarray:
-    g = a.group
-    n = g.order
-    bits = a.bools
+    n = a.group.order
     rows = np.empty((n, n), dtype=bool)
-    step = max(1, (1 << 23) // n)
-    for i in range(0, n, step):
-        rows[i : i + step] = bits[g.mult[g.inv[np.arange(i, min(n, i + step))]]]
+    for block, r in kernels.translate_rows(a.group, a.bools, np.arange(n)):
+        rows[block] = r
+        del r  # free the block before the next gather and np.unique
     return np.unique(rows, axis=0)
 
 
@@ -151,9 +149,9 @@ class StabilizerProfile:
     density: Fraction
 
 
-def stabilizer_by_threshold(a: GroupSet, threshold: int, side: str = "left") -> GroupSet:
+def stabilizer_by_threshold(a: GroupSet, threshold: int) -> GroupSet:
     """{x : |xA symdiff A| <= threshold} with an integer threshold."""
-    counts = kernels.translate_diff_counts(a.group, a.mask, side)
+    counts = kernels.translate_diff_counts(a.group, a.mask)
     return GroupSet(a.group, kernels.bools_to_mask(counts <= threshold))
 
 

@@ -33,6 +33,15 @@ class TestParsing:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("ablab: parse error:")
 
+    @pytest.mark.parametrize("option", ["--group", "--set", "--out"])
+    def test_double_dash_value_exits_2_with_one_line(self, capsys, option):
+        # argparse turns "--opt=--" into an empty list instead of a string.
+        argv = {"--group": "cyclic:8", "--set": "elems:[0]", "--out": "-"}
+        argv[option] = "--"
+        assert run(["saturation"] + [f"{k}={v}" for k, v in argv.items()]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ablab: parse error: {option} needs a value\n"
+
     def test_cached_group_still_honours_size_budget(self, capsys, tmp_path):
         out = str(tmp_path / "g.json")
         assert run(["group", "--group", "ea:2^8", "--out", out]) == 0

@@ -265,7 +265,7 @@ class TestCosetStructure:
         d, defect = coset_structure(a, k)
         members = set(a)
         expected = set()
-        for rep, cmask in coset_masks(ea26, k.mask, "right"):
+        for rep, cmask in coset_masks(ea26, k.mask):
             coset = {i for i in range(64) if cmask >> i & 1}
             if 2 * len(coset & members) >= k.order:
                 expected |= coset
