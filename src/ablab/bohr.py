@@ -22,6 +22,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .groups import Subgroup
+from .kernels import indices_to_mask, join_mask
 from .reporting import OMIT, as_key, digest
 from .sets import GroupSet
 from .torus import TorusMap, characters, product_map, trivial_map
@@ -32,12 +33,12 @@ def _deviation(f: TorusMap) -> np.ndarray:
     return np.minimum(f.nums, f.den - f.nums)
 
 
-def _sublevel_mask(elems: np.ndarray, dev: np.ndarray, den: int, bound: Fraction) -> int:
-    """Mask of the elems[i] with dev[i] / den < bound, exact comparison."""
-    mask = 0
-    for e in elems[dev * bound.denominator < bound.numerator * den]:
-        mask |= 1 << int(e)
-    return mask
+def _sublevel_mask(
+    elems: np.ndarray, dev: np.ndarray, den: int, bound: Fraction, n: int
+) -> int:
+    """Mask of the elems[i] (indices below n) with dev[i] / den < bound,
+    exact comparison."""
+    return indices_to_mask(elems[dev * bound.denominator < bound.numerator * den], n)
 
 
 def _sup_sublevel_set(f: TorusMap, bound: Fraction) -> GroupSet:
@@ -45,7 +46,8 @@ def _sup_sublevel_set(f: TorusMap, bound: Fraction) -> GroupSet:
     if f.dim == 0:
         return f.domain.members
     dev = _deviation(f).max(axis=1)
-    return GroupSet(f.domain.parent, _sublevel_mask(f.elems, dev, f.den, bound))
+    g = f.domain.parent
+    return GroupSet(g, _sublevel_mask(f.elems, dev, f.den, bound, g.order))
 
 
 def bohr_set(
@@ -67,6 +69,8 @@ def approx_bohr_set(
 ) -> GroupSet:
     """Sublevel set of an arbitrary map with f(1)=0; no homomorphism required."""
     eps = Fraction(eps)
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
     if f.domain != h:
         raise GroupMismatchError("f is not defined on the given subgroup")
     if not f.maps_identity_to_zero():
@@ -87,17 +91,16 @@ class RoundingResult:
 
 def _generating_positions(h: Subgroup) -> np.ndarray:
     """Positions (in member order) of a small generating set of H."""
-    g = h.parent
-    elems = h.element_indices()
-    have = 1
-    gens: list[int] = []
-    for pos, e in enumerate(elems):
-        if not have >> int(e) & 1:
-            gens.append(pos)
-            have = g.closure(have | (1 << int(e)))
+    have, gens = 1, ()
+    positions: list[int] = []
+    for pos, e in enumerate(h.element_indices().tolist()):
+        if not have >> e & 1:
+            positions.append(pos)
+            have = join_mask(h.parent, have, gens, e)
+            gens += (e,)
             if have == h.mask:
                 break
-    return np.asarray(gens, dtype=np.int64) if gens else np.asarray([0], np.int64)
+    return np.asarray(positions or [0], dtype=np.int64)
 
 
 def _sup_distance_rows(
@@ -236,7 +239,7 @@ def bohr_witness_search(
             for c in combo[1:]:
                 dev = np.maximum(dev, devs[c])
             for delta in grid:
-                mask = _sublevel_mask(elems, dev, den, delta)
+                mask = _sublevel_mask(elems, dev, den, delta, h.parent.order)
                 if mask & ~container.mask:
                     continue
                 bohr = GroupSet(container.group, mask)

@@ -54,12 +54,17 @@ def _nonempty_random(g: Group, r: SplitRng, density: Fraction) -> GroupSet:
     return GroupSet(g, mask)
 
 
-def _run_trials(fn, trials: int, rng: SplitRng, jobs: int) -> list:
+def _run_trials(suite: str, fn, trials: int, rng: SplitRng, jobs: int) -> dict:
+    """Run fn(i, stream) for each trial and build the suite's report; fn
+    returns None on a pass and a failure record otherwise."""
     streams = [rng.derive(f"trial-{i}") for i in range(trials)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(trials), streams))
-    return [fn(i, s) for i, s in enumerate(streams)]
+            results = list(pool.map(fn, range(trials), streams))
+    else:
+        results = [fn(i, s) for i, s in enumerate(streams)]
+    failures = [f for f in results if f]
+    return {"suite": suite, "trials": trials, "failures": failures, "pass": not failures}
 
 
 # --- verify suites ----------------------------------------------------------------
@@ -91,8 +96,7 @@ def suite_ruzsa(rng: SplitRng, trials: int, jobs: int) -> dict:
             return None
         return {"trial": i, "group": g.label, "sets": [sorted(s) for s in xs]}
 
-    failures = [f for f in _run_trials(trial, trials, rng, jobs) if f]
-    return {"suite": "ruzsa", "trials": trials, "failures": failures, "pass": not failures}
+    return _run_trials("ruzsa", trial, trials, rng, jobs)
 
 
 PLUNNECKE_ZOO = [
@@ -118,13 +122,7 @@ def suite_plunnecke(rng: SplitRng, trials: int, jobs: int) -> dict:
             return {"trial": i, "group": g.label, "mode": mode, "detail": exc.reproducer}
         return None
 
-    failures = [f for f in _run_trials(trial, trials, rng, jobs) if f]
-    return {
-        "suite": "plunnecke",
-        "trials": trials,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _run_trials("plunnecke", trial, trials, rng, jobs)
 
 
 BOHR_ZOO = ["cyclic:36", "cyclic:128", "ea:2^6", "ea:3^4", "prod:cyclic:4+cyclic:8"]
@@ -157,13 +155,7 @@ def suite_bohr_size(rng: SplitRng, trials: int, jobs: int) -> dict:
             "nest_ok": nest_ok,
         }
 
-    failures = [f for f in _run_trials(trial, trials, rng, jobs) if f]
-    return {
-        "suite": "bohr-size",
-        "trials": trials,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _run_trials("bohr-size", trial, trials, rng, jobs)
 
 
 LEMMA82_ZOO = ["cyclic:24", "cyclic:32", "ea:2^5", "ea:2^6", "dihedral:8", "symmetric:4"]
@@ -217,13 +209,7 @@ def suite_lemma82(rng: SplitRng, trials: int, jobs: int) -> dict:
             return None
         return {"trial": i, "group": g.label, "set": sorted(a), "eps": str(eps)}
 
-    failures = [f for f in _run_trials(trial, trials, rng, jobs) if f]
-    return {
-        "suite": "lemma82",
-        "trials": trials,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _run_trials("lemma82", trial, trials, rng, jobs)
 
 
 def _low_vc_set(g: Group, r: SplitRng) -> GroupSet:
@@ -258,13 +244,7 @@ def suite_haussler(rng: SplitRng, trials: int, jobs: int) -> dict:
                 return None
         return {"trial": i, "detail": "no conclusive low-VC set found"}
 
-    failures = [f for f in _run_trials(trial, trials, rng, jobs) if f]
-    return {
-        "suite": "haussler",
-        "trials": trials,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return _run_trials("haussler", trial, trials, rng, jobs)
 
 
 def _regression_checks() -> list[tuple[str, bool]]:
@@ -375,13 +355,12 @@ def _regression_checks() -> list[tuple[str, bool]]:
 
 def suite_regression(rng: SplitRng, trials: int, jobs: int) -> dict:
     checks = _regression_checks()
-    failures = [{"check": name} for name, ok in checks if not ok]
-    return {
-        "suite": "regression",
-        "trials": len(checks),
-        "failures": failures,
-        "pass": not failures,
-    }
+
+    def trial(i: int, r: SplitRng):
+        name, ok = checks[i]
+        return None if ok else {"check": name}
+
+    return _run_trials("regression", trial, len(checks), rng, jobs)
 
 
 SUITES = {

@@ -28,6 +28,7 @@ from .kernels import (
     closure_mask,
     cyclic_mask,
     inverse_mask,
+    join_mask,
     mask_indices,
     mask_to_bools,
     product_mask,
@@ -79,7 +80,6 @@ class Group:
         self._commutator_mask: int | None = None
         self._abelianization: tuple["Group", np.ndarray] | None = None
         self._lattice: list[int] | None = None
-        self._closure_cache: dict[int, int] = {}
         self._whole: "Subgroup" | None = None
 
     # --- basic arithmetic -------------------------------------------------
@@ -170,13 +170,8 @@ class Group:
         return f"Group({self.label}, order={self.order})"
 
     def closure(self, seed_mask: int) -> int:
-        """Subgroup generated by seed_mask, memoized per group."""
-        hit = self._closure_cache.get(seed_mask)
-        if hit is not None:
-            return hit
-        result = closure_mask(self, seed_mask)
-        self._closure_cache[seed_mask] = result
-        return result
+        """Subgroup generated by seed_mask."""
+        return closure_mask(self, seed_mask)
 
     def whole_subgroup(self) -> "Subgroup":
         if self._whole is None:
@@ -688,30 +683,34 @@ def abelian_coordinates(g: Group, basis: list[tuple[int, int]]) -> np.ndarray:
 # --- subgroup enumeration ------------------------------------------------------
 
 
-def cyclic_subgroups_inside(g: Group, region: int) -> list[int]:
-    """Sorted masks of the cyclic subgroups <x> contained in the region mask."""
-    cyclics = {cyclic_mask(g, int(x)) for x in mask_indices(region, g.order)}
-    return sorted(c for c in cyclics if not c & ~region)
+def cyclic_subgroups_inside(g: Group, region: int) -> list[tuple[int, int]]:
+    """(mask, generator) for each cyclic subgroup <x> contained in the region
+    mask, sorted by mask; the generator is the least such x."""
+    cyclics: dict[int, int] = {}
+    for x in mask_indices(region, g.order).tolist():
+        cyclics.setdefault(cyclic_mask(g, x), x)
+    return sorted((c, x) for c, x in cyclics.items() if not c & ~region)
 
 
 def subgroups_inside(g: Group, region: int, max_states: int) -> list[int]:
     """Masks of every subgroup of G inside the region mask, by (order, mask):
-    depth-first closures of found subgroups joined with the cyclic subgroups
-    inside the region, dropping joins that leave it."""
+    depth-first coset joins of found subgroups with the cyclic subgroups
+    inside the region, dropping joins that leave it.  Each subgroup on the
+    stack carries the generators it was joined from."""
     seeds = cyclic_subgroups_inside(g, region)
     known = {1}
-    stack = [1]
+    stack: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while stack:
-        h = stack.pop()
-        for c in seeds:
+        h, gens = stack.pop()
+        for c, x in seeds:
             if c & ~h:
-                k = g.closure(h | c)
+                k = join_mask(g, h, gens, x)
                 if k & ~region or k in known:
                     continue
                 known.add(k)
                 if len(known) > max_states:
                     raise FeasibilityError(f"subgroup search exceeds {max_states} states")
-                stack.append(k)
+                stack.append((k, gens + (x,)))
     return sorted(known, key=lambda m: (m.bit_count(), m))
 
 
@@ -727,7 +726,7 @@ def enumerate_subgroups(
 ) -> list[Subgroup]:
     """All subgroups (optionally restricted to index <= max_index).
 
-    Closure-based depth-first joins of cyclic subgroups (subgroups_inside),
+    Depth-first coset joins of cyclic subgroups (subgroups_inside),
     deduplicated by member bitmask.  Unbounded enumeration is guarded to
     |G| <= 512.
     """

@@ -15,7 +15,7 @@ _CHUNK_CELLS = 1 << 23
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
     nbytes = (n + 7) // 8
     raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def bools_to_mask(bits: np.ndarray) -> int:
@@ -25,6 +25,13 @@ def bools_to_mask(bits: np.ndarray) -> int:
 
 def mask_indices(mask: int, n: int) -> np.ndarray:
     return np.flatnonzero(mask_to_bools(mask, n))
+
+
+def indices_to_mask(idx: np.ndarray, n: int) -> int:
+    """Bitmask of the element indices idx, all below n."""
+    bits = np.zeros(n, dtype=bool)
+    bits[idx] = True
+    return bools_to_mask(bits)
 
 
 def inverse_mask(group, mask: int) -> int:
@@ -91,40 +98,40 @@ def cyclic_mask(group, x: int) -> int:
     return mask
 
 
+def join_mask(group, kmask: int, gens: tuple[int, ...], x: int) -> int:
+    """<K, x> for the subgroup K (bitmask kmask) generated by gens, by
+    Dimino's coset joins: a union of right cosets Kr grown from r = x.  Each
+    product rs with s in gens + (x,) that falls outside the union adds its
+    coset K(rs) with one gather mult[K, rs].  The union then contains K and
+    is closed under right multiplication by every generator of <K, x>, so
+    it is that subgroup."""
+    if kmask >> x & 1:
+        return kmask
+    mult = group.mult
+    cols = mult.T  # cols[r][k] = k * r, without copying the table
+    bits = mask_to_bools(kmask, group.order)
+    kidx = bits.nonzero()[0]
+    span = np.asarray(gens + (x,))
+    reps = [x]
+    # The table holds uint16; scattering through intp indices is much faster.
+    bits[cols[x][kidx].astype(np.intp)] = True
+    for r in reps:
+        for rs in mult[r][span].tolist():
+            if not bits[rs]:
+                bits[cols[rs][kidx].astype(np.intp)] = True
+                reps.append(rs)
+    return bools_to_mask(bits)
+
+
 def closure_mask(group, seed_mask: int) -> int:
-    """Subgroup generated by the elements of seed_mask."""
-    if seed_mask in (0, 1):
-        return 1
-    fam = group.family
-    if fam.get("kind") == "ea" and fam.get("p") == 2:
-        return _gf2_span(group.order, seed_mask)
-    m = seed_mask | inverse_mask(group, seed_mask) | 1
-    while True:
-        nm = product_mask(group, m, m) | m
-        if nm == m:
-            return m
-        m = nm
-
-
-def _gf2_span(n: int, seed_mask: int) -> int:
-    # In ea(2,k) element indices are coordinate vectors and mult is XOR.
-    basis: list[int] = []
-    mask = seed_mask
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    elems = [0]
-    span = 1
-    for b in basis:
-        add = [e ^ b for e in elems]
-        for e in add:
-            span |= 1 << e
-        elems += add
-    return span
+    """Subgroup generated by the elements of seed_mask: join_mask folded over
+    the seed elements that the subgroup so far does not cover."""
+    kmask, gens = 1, ()
+    for x in mask_indices(seed_mask, group.order).tolist():
+        if not kmask >> x & 1:
+            kmask = join_mask(group, kmask, gens, x)
+            gens += (x,)
+    return kmask
 
 
 def translate_diff_counts(group, mask: int, side: str = "left") -> np.ndarray:

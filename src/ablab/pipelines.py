@@ -97,16 +97,9 @@ def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
         growth = Fraction(power(a, 3).card, a.card)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    closure = v
-    steps = 1
-    while True:
-        nxt = product(closure, v)
-        if nxt == closure:
-            break
-        closure = nxt
-        steps += 1
-    sigma = Subgroup(g, closure.mask, verify=False)
-    sigma_is_vm = power(v, m) == closure
+    # V is symmetric and contains 1, so the union of the powers V^k is <V>.
+    sigma = Subgroup(g, g.closure(v.mask), verify=False)
+    sigma_is_vm = power(v, m).mask == sigma.mask
     return ModeSets(mode, a, v, w, words, m, sigma, sigma_is_vm, growth)
 
 
@@ -198,14 +191,14 @@ def _pick_b(x: GroupSet, z: GroupSet, size: int, strategy: str, rng: SplitRng) -
 
 def _ystar(v2: GroupSet, b: GroupSet, thr: Fraction, card_x: int) -> GroupSet:
     """{g in V^2 : |gB intersect B| >= thr * |X|}, exact integer comparison."""
+    g = v2.group
     bb = b.bools
     out = 0
-    for block, rows in kernels.translate_rows(v2.group, bb, v2.indices()):
+    for block, rows in kernels.translate_rows(g, bb, v2.indices()):
         counts = (rows & bb).sum(axis=1)
         hit = counts * thr.denominator >= thr.numerator * card_x
-        for e in block[hit]:
-            out |= 1 << int(e)
-    return GroupSet(v2.group, out)
+        out |= kernels.indices_to_mask(block[hit], g.order)
+    return GroupSet(g, out)
 
 
 def _cs_target(
@@ -331,7 +324,7 @@ def _largest_first(m: int) -> tuple[int, int]:
 
 
 def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[int]:
-    found = set(cyclic_subgroups_inside(g, region))
+    found = {c for c, _ in cyclic_subgroups_inside(g, region)}
     for side in ("left", "right"):
         sym = kernels.symmetry_group_mask(g, region, side)
         if not sym & ~region:

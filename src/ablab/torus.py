@@ -22,6 +22,7 @@ from .groups import (
     abelian_coordinates,
     abelianization,
 )
+from .kernels import indices_to_mask
 
 DEFAULT_DENOMINATOR_LIMIT = 10**6
 
@@ -162,10 +163,7 @@ class TorusMap:
 
     def kernel_mask(self) -> int:
         rows_zero = ~self.nums.any(axis=1)
-        mask = 0
-        for e in self._elems[rows_zero]:
-            mask |= 1 << int(e)
-        return mask
+        return indices_to_mask(self._elems[rows_zero], self.domain.parent.order)
 
     def image(self) -> list[TorusVec]:
         uniq = np.unique(self.nums, axis=0)

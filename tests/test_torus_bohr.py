@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ablab import (
@@ -185,6 +186,16 @@ class TestApproxBohr:
             c8.whole_subgroup(), [[F(i, 8) + (F(1, 40) if i == 3 else 0)] for i in range(8)]
         )
         assert approx_bohr_set(c8.whole_subgroup(), f, F(3, 5)).card == 8
+
+    def test_nonpositive_eps_rejected_for_every_zero_map(self, c8):
+        # A zero-dimensional map and the trivial map agree at eps > 0, and
+        # both refuse eps <= 0, as bohr_set refuses delta <= 0.
+        h = c8.whole_subgroup()
+        for f in (TorusMap(h, 1, np.zeros((8, 0))), trivial_map(h, 1)):
+            assert approx_bohr_set(h, f, F(1, 4)).mask == h.mask
+            for eps in (F(0), F(-1)):
+                with pytest.raises(PreconditionError):
+                    approx_bohr_set(h, f, eps)
 
 
 class TestRounding:
