@@ -234,7 +234,10 @@ def bohr_witness_search(
             if budget is not None:
                 budget -= 1
                 if budget < 0:
-                    raise FeasibilityError("bohr_witness_search map budget exhausted")
+                    raise FeasibilityError(
+                        f"Bohr witness search exceeded {max_maps} character maps"
+                        f" at dimension {dim}"
+                    )
             dev = devs[combo[0]]
             for c in combo[1:]:
                 dev = np.maximum(dev, devs[c])

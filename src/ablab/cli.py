@@ -19,6 +19,7 @@ from . import pipelines, sets, torus, vc
 from .errors import (
     AblabError,
     FeasibilityError,
+    PreconditionError,
     SpecSyntaxError,
     TheoremViolationError,
 )
@@ -479,6 +480,8 @@ def cmd_saturation(args) -> int:
 
 def cmd_verify(args) -> int:
     fn, default_trials = SUITES[args.suite]
+    if args.trials < 0:
+        raise PreconditionError("--trials must be nonnegative")
     trials = args.trials if args.trials else default_trials
     rng = SplitRng.from_seed(args.seed).derive(f"suite:{args.suite}")
     report = fn(rng, trials, args.jobs)
@@ -490,8 +493,14 @@ def cmd_verify(args) -> int:
 # --- argument parsing -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a bad command line as one parse-error line, not usage text."""
+        raise SpecSyntaxError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ablab",
         description="Exact additive-combinatorics laboratory for finite groups.",
     )
@@ -501,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, help="group spec, e.g. cyclic:8 or ea:2^6")
         if with_set:
             p.add_argument("--set", required=True, help="set literal, e.g. interval:0..2")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=200)
         p.add_argument("--size-budget", type=int, default=4096)
         p.add_argument("--out", default="-")
 
@@ -523,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--strategy", choices=["greedy", "full", "random"], default="greedy")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_croot_sisask)
 
     p = sub.add_parser("bogolyubov", help="subgroup witness inside W(A)")
@@ -530,6 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--normalize", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=200)
     p.set_defaults(func=cmd_bogolyubov)
 
     p = sub.add_parser("regularity", help="stabilizer-based regularity decomposition")
@@ -538,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--vc-cap", type=int, default=6)
     p.add_argument("--csv", default=None, help="write the per-coset table as CSV")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=200)
     p.set_defaults(func=cmd_regularity)
 
     p = sub.add_parser("bohr-search", help="Bohr witness inside W(A)")
@@ -545,6 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--deltas", default="1/2,1/4,1/8")
+    p.add_argument("--budget", type=int, default=200)
     p.set_defaults(func=cmd_bohr_search)
 
     p = sub.add_parser("saturation", help="product-saturation measurements")
@@ -565,9 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if value == []:  # argparse reads "--opt=--" as an empty list
                 raise SpecSyntaxError(f"--{name.replace('_', '-')} needs a value")
@@ -582,7 +594,7 @@ def main(argv=None) -> int:
         print(f"ablab: internal theorem violation: {exc}", file=sys.stderr)
         sys.stderr.write(canonical_dumps(exc.reproducer))
         return 4
-    except AblabError as exc:
+    except (AblabError, OSError) as exc:  # OSError: an unwritable --out or --csv
         print(f"ablab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,9 +37,10 @@ from .kernels import (
 DEFAULT_SIZE_BUDGET = 4096
 FULL_ASSOCIATIVITY_LIMIT = 512
 SAMPLED_TRIPLES = 1_000_000
-LATTICE_STATE_BUDGET = 200_000
 # Largest order whose subgroups are searched exhaustively.
 UNBOUNDED_ENUMERATION_LIMIT = 512
+# Coset joins one subgroup search may compute before it gives up.
+SUBGROUP_JOIN_BUDGET = 200_000
 
 
 def _index_dtype(n: int):
@@ -692,32 +693,42 @@ def cyclic_subgroups_inside(g: Group, region: int) -> list[tuple[int, int]]:
     return sorted((c, x) for c, x in cyclics.items() if not c & ~region)
 
 
-def subgroups_inside(g: Group, region: int, max_states: int) -> list[int]:
-    """Masks of every subgroup of G inside the region mask, by (order, mask):
-    depth-first coset joins of found subgroups with the cyclic subgroups
-    inside the region, dropping joins that leave it.  Each subgroup on the
-    stack carries the generators it was joined from."""
+def subgroups_inside(g: Group, region: int) -> list[int]:
+    """Masks of every subgroup of G inside the region mask, by (order, mask).
+    Filters G's cached lattice, else searches depth-first by coset joins of
+    found subgroups with the cyclic subgroups inside the region, dropping
+    joins that leave it; each stacked subgroup carries its generators.  A
+    whole-group search fills the cache.  FeasibilityError after
+    SUBGROUP_JOIN_BUDGET joins."""
+    if g._lattice is not None:
+        return [m for m in g._lattice if not m & ~region]
     seeds = cyclic_subgroups_inside(g, region)
     known = {1}
     stack: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    joins = 0
     while stack:
         h, gens = stack.pop()
         for c, x in seeds:
             if c & ~h:
+                if joins == SUBGROUP_JOIN_BUDGET:
+                    raise FeasibilityError(
+                        f"subgroup search exceeded {SUBGROUP_JOIN_BUDGET} coset"
+                        f" joins after finding {len(known)} subgroups"
+                    )
+                joins += 1
                 k = join_mask(g, h, gens, x)
                 if k & ~region or k in known:
                     continue
                 known.add(k)
-                if len(known) > max_states:
-                    raise FeasibilityError(f"subgroup search exceeds {max_states} states")
                 stack.append((k, gens + (x,)))
-    return sorted(known, key=lambda m: (m.bit_count(), m))
+    masks = sorted(known, key=lambda m: (m.bit_count(), m))
+    if region == (1 << g.order) - 1:
+        g._lattice = masks
+    return masks
 
 
-def _lattice_masks(g: Group, max_states: int) -> list[int]:
-    if g._lattice is None:
-        g._lattice = subgroups_inside(g, (1 << g.order) - 1, max_states)
-    return g._lattice
+def _lattice_masks(g: Group) -> list[int]:
+    return subgroups_inside(g, (1 << g.order) - 1)
 
 
 def enumerate_subgroups(
@@ -735,7 +746,7 @@ def enumerate_subgroups(
             f"unbounded enumeration needs |G| <= {UNBOUNDED_ENUMERATION_LIMIT}; "
             "pass max_index"
         )
-    masks = _lattice_masks(g, LATTICE_STATE_BUDGET)
+    masks = _lattice_masks(g)
     subs = [Subgroup(g, m, verify=False) for m in masks]
     if max_index is not None:
         subs = [h for h in subs if h.index <= max_index]

@@ -143,8 +143,3 @@ def translate_diff_counts(group, mask: int, side: str = "left") -> np.ndarray:
         counts[block] = (rows ^ bits).sum(axis=1)
     return counts
 
-
-def symmetry_group_mask(group, mask: int, side: str = "left") -> int:
-    """{g : g*S == S} (a subgroup; contained in S whenever 1 in S)."""
-    counts = translate_diff_counts(group, mask, side)
-    return bools_to_mask(counts == 0)

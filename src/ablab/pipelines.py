@@ -27,7 +27,6 @@ from .groups import (
     UNBOUNDED_ENUMERATION_LIMIT,
     Group,
     Subgroup,
-    _lattice_masks,
     core_within,
     coset_walk,
     cyclic_subgroups_inside,
@@ -85,6 +84,8 @@ class ModeSets:
 def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
     if a.card == 0:
         raise EmptySetError("mode_sets needs a nonempty set")
+    if m < 0:
+        raise PreconditionError("m must be nonnegative")
     g = a.group
     if mode == "alternation":
         v = product(a, inverse(a))
@@ -305,10 +306,6 @@ def croot_sisask(
 # --- subgroup discovery inside symmetric sets -----------------------------------
 
 
-# Subgroups the exhaustive oracle may find before it falls back to the heuristic.
-ORACLE_STATE_BUDGET = 100_000
-
-
 @dataclass(frozen=True)
 class SubgroupWitness:
     subgroup: Subgroup
@@ -326,7 +323,7 @@ def _largest_first(m: int) -> tuple[int, int]:
 def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[int]:
     found = {c for c, _ in cyclic_subgroups_inside(g, region)}
     for side in ("left", "right"):
-        sym = kernels.symmetry_group_mask(g, region, side)
+        sym = stabilizer_by_threshold(GroupSet(g, region), 0, side).mask
         if not sym & ~region:
             found.add(sym)
     pool = sorted(found, key=_largest_first)
@@ -350,8 +347,9 @@ def subgroup_candidates_inside(
     rng: SplitRng | None = None,
 ) -> tuple[list[int], str]:
     """Candidate subgroup masks inside w, largest first, plus the method flag.
-    Exhaustive for ambients of order <= UNBOUNDED_ENUMERATION_LIMIT within
-    ORACLE_STATE_BUDGET states; otherwise heuristic_tries seeded closures."""
+    Exhaustive for ambients of order <= UNBOUNDED_ENUMERATION_LIMIT whose
+    search fits SUBGROUP_JOIN_BUDGET joins; otherwise heuristic_tries seeded
+    closures."""
     rng = _default_rng(rng, "subgroup-oracle")
     g = w.group
     if not 0 in w:
@@ -362,13 +360,8 @@ def subgroup_candidates_inside(
         raise PreconditionError("container must lie inside the ambient subgroup")
     region = w.mask & ambient.mask
     if ambient.order <= UNBOUNDED_ENUMERATION_LIMIT:
-        whole = ambient.mask == (1 << g.order) - 1
         try:
-            if whole and (g._lattice is not None or g.order <= 64):
-                masks = [m for m in _lattice_masks(g, ORACLE_STATE_BUDGET) if not m & ~region]
-            else:
-                masks = subgroups_inside(g, region, ORACLE_STATE_BUDGET)
-            return sorted(masks, key=_largest_first), "exhaustive"
+            return sorted(subgroups_inside(g, region), key=_largest_first), "exhaustive"
         except FeasibilityError:
             pass
     return _heuristic_masks(g, region, heuristic_tries, rng), "heuristic"

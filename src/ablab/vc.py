@@ -149,24 +149,22 @@ class StabilizerProfile:
     density: Fraction
 
 
-def stabilizer_by_threshold(a: GroupSet, threshold: int) -> GroupSet:
-    """{x : |xA symdiff A| <= threshold} with an integer threshold."""
-    counts = kernels.translate_diff_counts(a.group, a.mask)
+def stabilizer_by_threshold(a: GroupSet, threshold: int, side: str = "left") -> GroupSet:
+    """{x : |xA symdiff A| <= threshold} (|Ax symdiff A| when side="right")
+    with an integer threshold."""
+    counts = kernels.translate_diff_counts(a.group, a.mask, side)
     return GroupSet(a.group, kernels.bools_to_mask(counts <= threshold))
 
 
 def stabilizer(a: GroupSet, epsilon: Fraction, side: str = "left") -> StabilizerProfile:
-    """Exact epsilon-stabilizer {x : |xA symdiff A| <= epsilon |G|}."""
+    """Exact epsilon-stabilizer {x : |xA symdiff A| <= epsilon |G|}: the counts
+    are integers, so the threshold floor(epsilon |G|) is exact."""
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise PreconditionError("epsilon must be nonnegative")
-    g = a.group
-    counts = kernels.translate_diff_counts(g, a.mask, side)
-    member = counts * epsilon.denominator <= epsilon.numerator * g.order
-    stab = GroupSet(g, kernels.bools_to_mask(member))
-    return StabilizerProfile(
-        a, epsilon, stab, side, Fraction(stab.card, g.order)
-    )
+    n = a.group.order
+    stab = stabilizer_by_threshold(a, epsilon.numerator * n // epsilon.denominator, side)
+    return StabilizerProfile(a, epsilon, stab, side, Fraction(stab.card, n))
 
 
 # --- packing bound --------------------------------------------------------------

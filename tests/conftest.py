@@ -146,6 +146,21 @@ def naive_subgroups_inside(g: Group, wset: set[int]) -> set[frozenset[int]]:
         found |= fresh
 
 
+def brute_stabilizer(g: Group, members, bound, side: str) -> set[int]:
+    """Elements x with |xA symdiff A| <= bound (|Ax symdiff A| when
+    side="right"), by plain element loops; bound may be a Fraction."""
+    members = set(members)
+    out = set()
+    for x in range(g.order):
+        if side == "left":
+            moved = {g.mul(x, a) for a in members}
+        else:
+            moved = {g.mul(a, x) for a in members}
+        if len(moved ^ members) <= bound:
+            out.add(x)
+    return out
+
+
 def brute_normal_core(g: Group, hset, over) -> frozenset[int]:
     """Elements x of H with a x a^-1 in H for every a in over."""
     hset = set(hset)

@@ -42,6 +42,51 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err == f"ablab: parse error: {option} needs a value\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "--group", "cyclic:8", "--out", "{missing}/x.json"],
+            [
+                "regularity",
+                "--group",
+                "cyclic:8",
+                "--set",
+                "elems:[0,4]",
+                "--eps",
+                "1/4",
+                "--nu",
+                "1",
+                "--csv",
+                "{missing}/x.csv",
+            ],
+            ["bogolyubov", "--group", "cyclic:8", "--set", "interval:0..2", "--m", "-1"],
+            ["verify", "--suite", "ruzsa", "--trials", "-2"],
+            ["diagnose", "--group", "cyclic:8", "--set", "interval:0..2", "--bogus", "1"],
+        ],
+        ids=["out", "csv", "m", "trials", "unknown-option"],
+    )
+    def test_invalid_invocation_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing"
+        assert run([a.format(missing=missing) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("ablab: ")
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("diagnose", "--seed"),
+            ("diagnose", "--budget"),
+            ("saturation", "--seed"),
+            ("croot-sisask", "--budget"),
+            ("bohr-search", "--seed"),
+        ],
+    )
+    def test_options_a_command_does_not_read_exit_2(self, capsys, command, option):
+        argv = [command, "--group", "cyclic:8", "--set", "interval:0..2", option, "1"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"ablab: parse error: unrecognized arguments: {option} 1\n"
+
     def test_cached_group_still_honours_size_budget(self, capsys, tmp_path):
         out = str(tmp_path / "g.json")
         assert run(["group", "--group", "ea:2^8", "--out", out]) == 0
@@ -168,6 +213,14 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["found"] is True
         assert payload["witness"]["size_bound_ok"] is True
+
+    def test_bohr_map_budget_names_its_limit_and_dimension(self, capsys):
+        argv = ["bohr-search", "--group", "cyclic:16", "--set", "interval:0..3"]
+        assert run(argv + ["--budget", "20"]) == 3
+        assert capsys.readouterr().err == (
+            "ablab: budget/cap exhausted: Bohr witness search exceeded 20"
+            " character maps at dimension 2\n"
+        )
 
     def test_bogolyubov_command(self, tmp_path):
         out = tmp_path / "bg.json"

@@ -172,8 +172,8 @@ class TestLargestSubgroupInside:
         return {frozenset(i for i in range(g.order) if m >> i & 1) for m in masks}
 
     def test_region_search_candidates_match_naive_oracle(self):
-        # |G| = 80 > 64 and no cached lattice: the whole-ambient call searches
-        # the region instead of filtering the lattice.
+        # No cached lattice: the whole-ambient call searches the region, and
+        # a proper region leaves the cache empty.
         g = dihedral_group(40)
         rotations = GroupSet(g, (1 << 40) - 1)
         r = rng("oracle-region-d40")

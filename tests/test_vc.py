@@ -21,9 +21,9 @@ from ablab import (
     vc_dimension,
 )
 from ablab.cli import main
-from ablab.vc import VcResult
+from ablab.vc import VcResult, stabilizer_by_threshold
 
-from conftest import levelwise_vc_dimension, random_nonempty, rng
+from conftest import brute_stabilizer, levelwise_vc_dimension, random_nonempty, rng
 
 ZOO = {
     "cyclic:12": cyclic_group(12),
@@ -34,6 +34,7 @@ ZOO = {
     "sym:4": symmetric_group(4),
     "alt:4": alternating_group(4),
 }
+STAB_ZOO = {"cyclic:8": cyclic_group(8), "sym:4": ZOO["sym:4"], "ea:2^4": ZOO["ea:2^4"]}
 
 
 class TestVcDimension:
@@ -144,6 +145,20 @@ class TestAnchoredSearch:
 
 
 class TestStabilizer:
+    @pytest.mark.parametrize("name", sorted(STAB_ZOO))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("eps", [F(0), F(1, 3), F(1, 4), F(1)])
+    def test_both_thresholdings_match_plain_loop(self, name, side, eps):
+        # eps = 1/3 makes eps |G| a non-integer, where floor(eps |G|) is used.
+        g = STAB_ZOO[name]
+        r = rng(f"stab-threshold-{name}-{side}-{eps}")
+        for density in (F(1, 4), F(1, 2), F(3, 4)):
+            a = random_nonempty(g, r, density)
+            want = brute_stabilizer(g, a, eps * g.order, side)
+            assert set(stabilizer(a, eps, side).stabilizer) == want
+            threshold = eps.numerator * g.order // eps.denominator
+            assert set(stabilizer_by_threshold(a, threshold, side)) == want
+
     def test_subgroup_small_eps(self, c12):
         h = subgroup_from_indices(c12, [0, 4, 8])
         prof = stabilizer(h.members, F(1, 3))  # eps < 2|H|/|G| = 1/2
