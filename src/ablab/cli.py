@@ -8,6 +8,7 @@ exhausted, 4 internal theorem-violation (reproducer dumped).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,6 @@ from . import pipelines, sets, torus, vc
 from .errors import (
     AblabError,
     FeasibilityError,
-    PreconditionError,
     SpecSyntaxError,
     TheoremViolationError,
 )
@@ -438,9 +438,10 @@ def cmd_regularity(args) -> int:
         vc_cap=args.vc_cap,
         rng=rng,
     )
-    _emit(args, report)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # Open the CSV first, so an unwritable path stops the run before any report.
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        _emit(args, report)
+        if fh:
             writer = csv.DictWriter(
                 fh,
                 fieldnames=["rep", "in_a", "out_a", "exceptional", "sparse_ok", "dense_ok"],
@@ -480,8 +481,6 @@ def cmd_saturation(args) -> int:
 
 def cmd_verify(args) -> int:
     fn, default_trials = SUITES[args.suite]
-    if args.trials < 0:
-        raise PreconditionError("--trials must be nonnegative")
     trials = args.trials if args.trials else default_trials
     rng = SplitRng.from_seed(args.seed).derive(f"suite:{args.suite}")
     report = fn(rng, trials, args.jobs)
@@ -499,6 +498,25 @@ class _Parser(argparse.ArgumentParser):
         raise SpecSyntaxError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option whose smallest valid value is low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_NONNEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ablab",
@@ -510,25 +528,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, help="group spec, e.g. cyclic:8 or ea:2^6")
         if with_set:
             p.add_argument("--set", required=True, help="set literal, e.g. interval:0..2")
-        p.add_argument("--size-budget", type=int, default=4096)
+        p.add_argument("--size-budget", type=_POSITIVE, default=4096)
         p.add_argument("--out", default="-")
 
     p = sub.add_parser("group", help="build and inspect a group")
     common(p, with_set=False)
     p.add_argument("--subgroups", action="store_true")
-    p.add_argument("--max-index", type=int, default=None)
+    p.add_argument("--max-index", type=_POSITIVE, default=None)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("diagnose", help="growth profile, VC dimension, stabilizer")
     common(p)
     p.add_argument("--eps", default="1/4")
-    p.add_argument("--vc-cap", type=int, default=6)
+    p.add_argument("--vc-cap", type=_NONNEGATIVE, default=6)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("croot-sisask", help="almost-periodicity search")
     common(p)
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_POSITIVE, default=8)
     p.add_argument("--strategy", choices=["greedy", "full", "random"], default="greedy")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_croot_sisask)
@@ -536,28 +554,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bogolyubov", help="subgroup witness inside W(A)")
     common(p)
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=_NONNEGATIVE, default=4)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_NONNEGATIVE, default=200)
     p.set_defaults(func=cmd_bogolyubov)
 
     p = sub.add_parser("regularity", help="stabilizer-based regularity decomposition")
     common(p)
     p.add_argument("--eps", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--vc-cap", type=int, default=6)
+    p.add_argument("--vc-cap", type=_NONNEGATIVE, default=6)
     p.add_argument("--csv", default=None, help="write the per-coset table as CSV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_NONNEGATIVE, default=200)
     p.set_defaults(func=cmd_regularity)
 
     p = sub.add_parser("bohr-search", help="Bohr witness inside W(A)")
     common(p)
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_POSITIVE, default=2)
     p.add_argument("--deltas", default="1/2,1/4,1/8")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_NONNEGATIVE, default=200)
     p.set_defaults(func=cmd_bohr_search)
 
     p = sub.add_parser("saturation", help="product-saturation measurements")
@@ -568,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exact-theorem suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_NONNEGATIVE, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_POSITIVE, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify)
 

@@ -35,8 +35,6 @@ from .kernels import (
 )
 
 DEFAULT_SIZE_BUDGET = 4096
-FULL_ASSOCIATIVITY_LIMIT = 512
-SAMPLED_TRIPLES = 1_000_000
 # Largest order whose subgroups are searched exhaustively.
 UNBOUNDED_ENUMERATION_LIMIT = 512
 # Coset joins one subgroup search may compute before it gives up.
@@ -55,7 +53,6 @@ class Group:
         mult: np.ndarray | Sequence[Sequence[int]],
         label: str,
         family: dict[str, Any] | None = None,
-        validate: bool = True,
     ):
         table = np.ascontiguousarray(np.asarray(mult))
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -63,14 +60,15 @@ class Group:
         n = int(table.shape[0])
         if n == 0:
             raise GroupConstructionError("group must be nonempty")
+        if table.min() < 0 or table.max() >= n:
+            raise GroupConstructionError("table entries out of range")
         table = table.astype(_index_dtype(n), copy=False)
         self.order = n
         self.mult = table
         self.label = label
         self.family = family or {}
         self.inv = _derive_inverses(table)
-        if validate:
-            _validate_table(table, self.inv)
+        _validate_table(self)
         self.mult.setflags(write=False)
         self.inv.setflags(write=False)
         self._mult_t: np.ndarray | None = None
@@ -191,54 +189,39 @@ def _derive_inverses(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _validate_table(table: np.ndarray, inv: np.ndarray) -> None:
-    n = table.shape[0]
-    idx = np.arange(n)
-    if table.min() < 0 or table.max() >= n:
-        raise GroupConstructionError("table entries out of range")
-    if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
-        raise GroupConstructionError("element 0 is not a two-sided identity")
-    if not np.all(np.sort(table, axis=1) == idx):
-        raise GroupConstructionError("some row is not a permutation")
-    if not np.all(np.sort(table, axis=0) == idx[:, None]):
-        raise GroupConstructionError("some column is not a permutation")
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        _check_associative(table)
-    else:
-        rng = np.random.default_rng(0x5EED)
-        xs = rng.integers(0, n, SAMPLED_TRIPLES)
-        ys = rng.integers(0, n, SAMPLED_TRIPLES)
-        zs = rng.integers(0, n, SAMPLED_TRIPLES)
-        if not np.array_equal(table[table[xs, ys], zs], table[xs, table[ys, zs]]):
-            raise GroupConstructionError("associativity fails on sampled triples")
-
-
-def _check_associative(table: np.ndarray) -> None:
-    """Exact associativity check of a loop table by Light's test.
+def _validate_table(g: Group) -> None:
+    """Exact group check of g.mult, whose entries are in range and whose
+    inverses are two-sided: element 0 is a two-sided identity, and Light's
+    test proves associativity.
 
     The y with (xy)z = x(yz) for all x, z contain 0 and are closed under
     multiplication: for two of them, (x(ab))z = ((xa)b)z = (xa)(bz) =
     x(a(bz)) = x((ab)z).  So it suffices to test generators: each y is the
-    first element outside the submagma generated by those before it, until
-    that submagma is the whole table.  In a group each new generator at
-    least doubles the subgroup, so at most log2(n) are tested.
+    least element outside the set reached so far, and the reached set grows
+    by join_mask, whose members are all products of tested elements.  In a
+    group each join at least doubles the reached subgroup, so a join that
+    does not proves the table non-associative, and at most log2(n)
+    generators are tested.
     """
-    n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    while not reached.all():
-        y = int(np.argmin(reached))
-        if not np.array_equal(table[table[:, y]], table[:, table[y]]):
+    table = g.mult
+    idx = np.arange(g.order)
+    if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
+        raise GroupConstructionError("element 0 is not a two-sided identity")
+    full = (1 << g.order) - 1
+    reached, gens = 1, ()
+    while reached != full:
+        y = ((reached + 1) & ~reached).bit_length() - 1  # lowest clear bit
+        # (xy)z against x(yz) for all x, z; np.take gathers columns much
+        # faster than fancy indexing table[:, table[y]].
+        if not np.array_equal(table[table[:, y]], np.take(table, table[y], axis=1)):
             raise GroupConstructionError(f"associativity fails at y={y}")
-        reached[y] = True
-        new = np.array([y])
-        while new.size:
-            have = np.flatnonzero(reached)
-            products = np.concatenate(
-                (table[np.ix_(new, have)].ravel(), table[np.ix_(have, new)].ravel())
+        grown = join_mask(g, reached, gens, y)
+        if grown.bit_count() < 2 * reached.bit_count():
+            raise GroupConstructionError(
+                f"associativity fails: joining y={y} does not double the"
+                f" {reached.bit_count()} elements reached"
             )
-            new = np.unique(products[~reached[products]])
-            reached[new] = True
+        reached, gens = grown, gens + (y,)
 
 
 # --- builders ---------------------------------------------------------------
@@ -515,12 +498,7 @@ class Subgroup:
             pos = np.full(g.order, -1, dtype=np.int64)
             pos[elems] = np.arange(len(elems))
             table = pos[g.mult[np.ix_(elems, elems)]]
-            sub = Group(
-                table,
-                f"{g.label}|H{len(elems)}",
-                {"kind": "subgroup"},
-                validate=len(elems) <= FULL_ASSOCIATIVITY_LIMIT,
-            )
+            sub = Group(table, f"{g.label}|H{len(elems)}", {"kind": "subgroup"})
             self._as_group = (sub, elems)
         return self._as_group
 
@@ -595,12 +573,7 @@ def quotient_by(g: Group, normal_mask: int, verify: bool = True) -> tuple[Group,
         reps.append(x)
     rep_arr = np.asarray(reps)
     table = proj[g.mult[np.ix_(rep_arr, rep_arr)]]
-    q = Group(
-        table,
-        f"{g.label}/N{normal_mask.bit_count()}",
-        {"kind": "quotient"},
-        validate=len(reps) <= FULL_ASSOCIATIVITY_LIMIT,
-    )
+    q = Group(table, f"{g.label}/N{normal_mask.bit_count()}", {"kind": "quotient"})
     if verify:
         step = max(1, (1 << 22) // n)
         for i in range(0, n, step):

@@ -61,10 +61,6 @@ class GroupSet:
     def full(cls, group: Group) -> "GroupSet":
         return cls(group, (1 << group.order) - 1)
 
-    @classmethod
-    def singleton(cls, group: Group, i: int) -> "GroupSet":
-        return cls.from_indices(group, [i])
-
     # --- plumbing -----------------------------------------------------------
 
     @property
@@ -121,9 +117,6 @@ class GroupSet:
         self._require_same(other)
         return GroupSet(self.group, self.mask ^ other.mask)
 
-    def complement(self) -> "GroupSet":
-        return GroupSet(self.group, ~self.mask & ((1 << self.group.order) - 1))
-
     def issubset(self, other: "GroupSet") -> bool:
         self._require_same(other)
         return not self.mask & ~other.mask
@@ -131,10 +124,6 @@ class GroupSet:
     @property
     def is_symmetric(self) -> bool:
         return kernels.inverse_mask(self.group, self.mask) == self.mask
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.card, self.group.order)
 
     def digest(self) -> str:
         h = hashlib.blake2b(digest_size=8)

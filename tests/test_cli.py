@@ -62,14 +62,56 @@ class TestParsing:
             ["bogolyubov", "--group", "cyclic:8", "--set", "interval:0..2", "--m", "-1"],
             ["verify", "--suite", "ruzsa", "--trials", "-2"],
             ["diagnose", "--group", "cyclic:8", "--set", "interval:0..2", "--bogus", "1"],
+            ["diagnose", "--group", "cyclic:8", "--set", "interval:0..2", "--vc-cap", "-1"],
+            [
+                "regularity",
+                "--group",
+                "cyclic:8",
+                "--set",
+                "elems:[0,4]",
+                "--eps",
+                "1/4",
+                "--nu",
+                "1",
+                "--vc-cap",
+                "-3",
+            ],
+            ["bohr-search", "--group", "cyclic:16", "--set", "interval:0..3", "--budget", "-1"],
+            ["bogolyubov", "--group", "cyclic:8", "--set", "interval:0..2", "--budget", "-1"],
+            ["verify", "--suite", "ruzsa", "--jobs", "-1"],
+            ["group", "--group", "cyclic:8", "--subgroups", "--max-index", "0"],
+            ["group", "--group", "cyclic:8", "--size-budget", "x"],
         ],
-        ids=["out", "csv", "m", "trials", "unknown-option"],
+        ids=[
+            "out",
+            "csv",
+            "m",
+            "trials",
+            "unknown-option",
+            "vc-cap",
+            "regularity-vc-cap",
+            "bohr-budget",
+            "bogolyubov-budget",
+            "jobs",
+            "max-index",
+            "size-budget",
+        ],
     )
     def test_invalid_invocation_exits_2_with_one_line(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing"
         assert run([a.format(missing=missing) for a in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # no report, also when the --csv path is unwritable
         assert len(err.splitlines()) == 1 and err.startswith("ablab: ")
+
+    @pytest.mark.parametrize("entry", ["65536", "-65536"])
+    def test_cayley_entry_beyond_the_index_dtype_exits_2(self, capsys, tmp_path, entry):
+        # Both entries wrap to valid indices of cyclic(2) once cast to uint16.
+        path = tmp_path / "wide.cayley"
+        path.write_text(f"2\n0 1\n1 {entry}\n")
+        assert run(["group", "--group", f"cayley:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err == "ablab: error: table entries out of range\n"
 
     @pytest.mark.parametrize(
         "command, option",

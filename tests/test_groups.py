@@ -140,6 +140,60 @@ class TestAssociativityCheck:
         assert broken >= 10  # the loops do exercise the failing branch
 
 
+class TestExactCheckAboveOrder512:
+    """The table check stays exact on orders that were once sampled."""
+
+    @staticmethod
+    def _swapped_loop(spec):
+        g = build_group(parse_group_spec(spec))
+        t = random_loop(g, rng(f"big-loop-{spec}"), swaps=1)
+        return g, t
+
+    @staticmethod
+    def _fails_through_swapped_cells(g, t) -> bool:
+        """Some (xy)z != x(yz) with (x, y) or (y, z) a swapped cell, by plain
+        element loops."""
+        rows = [list(map(int, row)) for row in t]
+        cells = [tuple(map(int, c)) for c in np.argwhere(t != g.mult)]
+        triples = [(a, b, w) for a, b in cells for w in range(g.order)]
+        triples += [(w, a, b) for a, b in cells for w in range(g.order)]
+        return any(rows[rows[x][y]][z] != rows[x][rows[y][z]] for x, y, z in triples)
+
+    @pytest.mark.parametrize("spec", ["ea:2^10", "cyclic:1024", "dihedral:512"])
+    def test_one_swap_loop_is_rejected(self, spec):
+        g, t = self._swapped_loop(spec)
+        assert self._fails_through_swapped_cells(g, t)
+        with pytest.raises(GroupConstructionError, match="associativity"):
+            Group(t, "loop")
+
+    def test_one_swap_loop_cayley_file_exits_2(self, tmp_path, capsys):
+        from ablab.cli import main
+
+        _, t = self._swapped_loop("ea:2^10")
+        path = tmp_path / "loop.cayley"
+        lines = [str(len(t))] + [" ".join(map(str, row)) for row in t.tolist()]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["group", "--group", f"cayley:{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "associativity" in err
+
+    def test_subgroup_and_quotient_tables_are_checked(self, monkeypatch):
+        import ablab.groups as groups_mod
+
+        calls = []
+        check = groups_mod._validate_table
+        monkeypatch.setattr(
+            groups_mod, "_validate_table", lambda g: calls.append(g.order) or check(g)
+        )
+        g = cyclic_group(2048)
+        evens = subgroup_from_indices(g, range(0, 2048, 2))
+        evens.as_group()
+        groups_mod.quotient_by(g, evens.mask)
+        groups_mod.quotient_by(g, subgroup_from_indices(g, [0, 1024]).mask)
+        assert calls == [2048, 1024, 2, 1024]
+
+
 class TestInvariants:
     def test_exponent_divides_order_and_annihilates(self, small_zoo):
         for g in small_zoo:
