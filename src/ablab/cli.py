@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bohr as bohr_mod
-from . import pipelines, sets, torus, vc
+from . import kernels, pipelines, sets, torus, vc
 from .errors import (
     AblabError,
     FeasibilityError,
@@ -215,10 +215,7 @@ def suite_lemma82(rng: SplitRng, trials: int, jobs: int) -> dict:
 
 def _low_vc_set(g: Group, r: SplitRng) -> GroupSet:
     gens = r.sample(range(1, g.order), r.randint(4, 6))
-    seed = 0
-    for x in gens:
-        seed |= 1 << x
-    kmask = g.closure(seed)
+    kmask = g.closure(kernels.indices_to_mask(gens, g.order))
     reps = [r.randint(0, g.order - 1) for _ in range(r.randint(1, 2))]
     mask = 0
     for rep in reps:

@@ -10,8 +10,8 @@ class AblabError(Exception):
 
 
 class GroupConstructionError(AblabError):
-    """The supplied data does not describe a group (identity, inverses,
-    associativity or Latin-square check failed)."""
+    """The supplied data does not describe a group (the shape, range,
+    identity, inverse or associativity check failed)."""
 
 
 class SizeBudgetError(GroupConstructionError):

@@ -27,6 +27,7 @@ from .kernels import (
     bools_to_mask,
     closure_mask,
     cyclic_mask,
+    indices_to_mask,
     inverse_mask,
     join_mask,
     mask_indices,
@@ -71,7 +72,6 @@ class Group:
         _validate_table(self)
         self.mult.setflags(write=False)
         self.inv.setflags(write=False)
-        self._mult_t: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._exponent: int | None = None
         self._is_abelian: bool | None = None
@@ -103,14 +103,6 @@ class Group:
             base = int(self.mult[base, base])
             k >>= 1
         return acc
-
-    @property
-    def mult_t(self) -> np.ndarray:
-        if self._mult_t is None:
-            t = np.ascontiguousarray(self.mult.T)
-            t.setflags(write=False)
-            self._mult_t = t
-        return self._mult_t
 
     # --- cached invariants --------------------------------------------------
 
@@ -183,7 +175,8 @@ def _derive_inverses(table: np.ndarray) -> np.ndarray:
     zero_counts = (table == 0).sum(axis=1)
     if not np.all(zero_counts == 1):
         raise GroupConstructionError("some element has no (or multiple) inverses")
-    inv = np.asarray((table == 0).argmax(axis=1), dtype=table.dtype)
+    # Kept in intp: numpy gathers through inv without converting the indices.
+    inv = (table == 0).argmax(axis=1)
     if not np.all(table[inv, np.arange(n)] == 0):
         raise GroupConstructionError("inverses are not two-sided")
     return inv
@@ -236,8 +229,9 @@ def cyclic_group(n: int, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
     if n < 1:
         raise GroupConstructionError("cyclic order must be positive")
     _check_budget(n, budget)
-    r = np.arange(n)
-    table = (r[:, None] + r[None, :]) % n
+    # Row i of the table is r[i : i + n] for r = 0..n-1 repeated twice.
+    r = np.arange(n, dtype=_index_dtype(n))
+    table = np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), n)[:n]
     return Group(table, f"cyclic({n})", {"kind": "cyclic", "n": n})
 
 
@@ -252,7 +246,7 @@ def elementary_abelian_group(p: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) 
     n = p**k
     _check_budget(n, budget)
     if p == 2:
-        r = np.arange(n)
+        r = np.arange(n, dtype=_index_dtype(n))
         table = r[:, None] ^ r[None, :]
     else:
         digits = np.empty((n, k), dtype=np.int64)
@@ -260,7 +254,7 @@ def elementary_abelian_group(p: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) 
         for i in range(k):
             digits[:, i] = (r // p**i) % p
         weights = p ** np.arange(k)
-        table = np.empty((n, n), dtype=np.int64)
+        table = np.empty((n, n), dtype=_index_dtype(n))
         step = max(1, (1 << 22) // (n * k))
         for i in range(0, n, step):
             s = (digits[i : i + step, None, :] + digits[None, :, :]) % p
@@ -326,12 +320,11 @@ def direct_product_group(factors: Sequence[Group], budget: int = DEFAULT_SIZE_BU
     for h in factors[1:]:
         n1, n2 = g.order, h.order
         _check_budget(n1 * n2, budget)
-        a = np.arange(n1 * n2)
-        a1, b1 = a // n2, a % n2
-        table = (
-            g.mult[np.ix_(a1, a1)].astype(np.int64) * n2
-            + h.mult[np.ix_(b1, b1)].astype(np.int64)
-        )
+        a1, b1 = np.divmod(np.arange(n1 * n2), n2)
+        # (a1, b1)(a2, b2) = (a1 a2, b1 b2) has index (a1 a2) n2 + b1 b2 < n1 n2.
+        table = g.mult.astype(_index_dtype(n1 * n2))[np.ix_(a1, a1)]
+        table *= n2
+        table += h.mult[np.ix_(b1, b1)]
         g = Group(
             table,
             f"{g.label}x{h.label}",
@@ -522,11 +515,18 @@ class Subgroup:
         }
 
 
+def elements_mask(g: Group, indices: Iterable[int]) -> int:
+    """Bitmask of the listed elements of g; ValueError for an index out of
+    range."""
+    idx = [int(i) for i in indices]
+    for i in idx:
+        if not 0 <= i < g.order:
+            raise ValueError(f"element {i} out of range for {g.label}")
+    return indices_to_mask(idx, g.order)
+
+
 def subgroup_from_indices(parent: Group, indices: Iterable[int]) -> Subgroup:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return Subgroup(parent, mask)
+    return Subgroup(parent, elements_mask(parent, indices))
 
 
 # --- derived structure --------------------------------------------------------
@@ -553,12 +553,13 @@ def commutator_subgroup(g: Group) -> Subgroup:
 
 def coset_walk(g: Group, hmask: int) -> Iterator[tuple[int, np.ndarray]]:
     """(representative, membership array) for each right coset Hx of the
-    subgroup mask, representatives in increasing index order."""
+    subgroup mask, representatives in increasing index order.  Hx is read
+    from row x: z is in Hx iff x z^-1 is in H."""
     hbits = mask_to_bools(hmask, g.order)
     seen = np.zeros(g.order, dtype=bool)
     for x in range(g.order):
         if not seen[x]:
-            coset = hbits[g.mult_t[g.inv[x]]]
+            coset = hbits[g.mult[x][g.inv]]
             seen |= coset
             yield x, coset
 

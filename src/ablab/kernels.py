@@ -41,34 +41,33 @@ def inverse_mask(group, mask: int) -> int:
     return bools_to_mask(bits[group.inv])
 
 
-def translate_rows(group, bits: np.ndarray, elems: np.ndarray, side: str = "left"):
+def translate_rows(group, bits: np.ndarray, elems: np.ndarray):
     """Yield (block, rows) over consecutive blocks of elems, where bits is the
-    indicator of a set S and rows[i] is the indicator of g*S (or S*g when
-    side="right") for g = block[i]:  z is in gS iff g^-1 z is in S.  A block
-    holds at most _CHUNK_CELLS cells."""
-    table = group.mult if side == "left" else group.mult_t
+    indicator of a set S and rows[i] is the indicator of the left translate
+    g*S for g = block[i]:  z is in gS iff g^-1 z is in S.  A block holds at
+    most _CHUNK_CELLS cells."""
     step = max(1, _CHUNK_CELLS // group.order)
     for i in range(0, len(elems), step):
         block = elems[i : i + step]
-        yield block, bits[table[group.inv[block]]]
+        yield block, bits[group.mult[group.inv[block]]]
 
 
 def product_mask(group, xmask: int, ymask: int) -> int:
-    """Exact product set {x*y}: the union of the translates xY (or Xy),
-    iterating the smaller operand."""
+    """Exact product set XY: the union of the left translates xY over the
+    smaller operand.  When |X| > |Y| it is the inverse of Y^-1 X^-1, the
+    union of the translates y^-1 X^-1, so right translates are never
+    gathered."""
     if xmask == 0 or ymask == 0:
         return 0
     n = group.order
-    if xmask.bit_count() <= ymask.bit_count():
-        blocks = translate_rows(group, mask_to_bools(ymask, n), mask_indices(xmask, n))
-    else:
-        blocks = translate_rows(
-            group, mask_to_bools(xmask, n), mask_indices(ymask, n), "right"
-        )
+    xbits, ybits = mask_to_bools(xmask, n), mask_to_bools(ymask, n)
+    flip = xmask.bit_count() > ymask.bit_count()
+    if flip:
+        xbits, ybits = ybits[group.inv], xbits[group.inv]
     out = np.zeros(n, dtype=bool)
-    for _, rows in blocks:
+    for _, rows in translate_rows(group, ybits, np.flatnonzero(xbits)):
         out |= rows.any(axis=0)
-    return bools_to_mask(out)
+    return bools_to_mask(out[group.inv] if flip else out)
 
 
 def power_mask(group, mask: int, k: int) -> int:
@@ -134,12 +133,11 @@ def closure_mask(group, seed_mask: int) -> int:
     return kmask
 
 
-def translate_diff_counts(group, mask: int, side: str = "left") -> np.ndarray:
-    """|gA symdiff A| for every g (or |Ag symdiff A| when side="right")."""
+def translate_diff_counts(group, mask: int) -> np.ndarray:
+    """|gA symdiff A| for every g."""
     n = group.order
     bits = mask_to_bools(mask, n)
     counts = np.empty(n, dtype=np.int64)
-    for block, rows in translate_rows(group, bits, np.arange(n), side):
+    for block, rows in translate_rows(group, bits, np.arange(n)):
         counts[block] = (rows ^ bits).sum(axis=1)
     return counts
-

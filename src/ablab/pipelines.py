@@ -111,17 +111,17 @@ def _ladder_json(ladder: tuple[tuple[Fraction, Fraction], ...]) -> list[dict]:
     return [{"t": t, "f_estimate": f} for t, f in ladder]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CSTargetTrace:
     label: str
     ell: Fraction
     ladder: tuple[tuple[Fraction, Fraction], ...] = field(
         metadata=as_key("ladder", _ladder_json)
     )
-    chosen_t: Fraction | None
-    chosen_b: GroupSet | None = field(metadata=as_key("b_card", card))
-    threshold: Fraction | None
-    y_star: GroupSet | None = field(metadata=as_key("y_star_card", card))
+    chosen_t: Fraction | None = None
+    chosen_b: GroupSet | None = field(default=None, metadata=as_key("b_card", card))
+    threshold: Fraction | None = None
+    y_star: GroupSet | None = field(default=None, metadata=as_key("y_star_card", card))
     power_checked: int
     accepted: bool
 
@@ -168,10 +168,8 @@ def _random_b(x: GroupSet, z: GroupSet, size: int, rng: SplitRng) -> GroupSet:
     best: GroupSet | None = None
     best_bz = -1
     for _ in range(4):
-        mask = 0
-        for i in rng.sample(xs, size):
-            mask |= 1 << i
-        cand = GroupSet(x.group, mask)
+        picks = rng.sample(xs, size)
+        cand = GroupSet(x.group, kernels.indices_to_mask(picks, x.group.order))
         bz = product(cand, z).card
         if best is None or bz < best_bz:
             best, best_bz = cand, bz
@@ -219,6 +217,7 @@ def _cs_target(
     t = Fraction(1)
     t_min = Fraction(1, card)
     ladder: list[tuple[Fraction, Fraction]] = []
+    chosen: dict = {}
     while t >= t_min and len(ladder) < 32:
         size = (t.numerator * card + t.denominator - 1) // t.denominator
         b = _pick_b(x, z, size, strategy, rng)
@@ -227,11 +226,17 @@ def _cs_target(
         ladder.append((t, f_est))
         ys = _ystar(v2, b, theta, card)
         if power(ys, n_pow).issubset(w):
-            return CSTargetTrace(
-                label, ell, tuple(ladder), t, b, theta, ys, n_pow, True
-            )
+            chosen = {"chosen_t": t, "chosen_b": b, "threshold": theta, "y_star": ys}
+            break
         t = theta
-    return CSTargetTrace(label, ell, tuple(ladder), None, None, None, None, n_pow, False)
+    return CSTargetTrace(
+        label=label,
+        ell=ell,
+        ladder=tuple(ladder),
+        power_checked=n_pow,
+        accepted=bool(chosen),
+        **chosen,
+    )
 
 
 def croot_sisask(
@@ -418,7 +423,6 @@ def bogolyubov_bounded_exponent(
     normalize: bool = False,
     heuristic_tries: int = 200,
     rng: SplitRng | None = None,
-    strategy: str = "greedy",
 ) -> BogolyubovReport:
     """Find a subgroup inside the mode's containment target W(A).
 
@@ -428,9 +432,7 @@ def bogolyubov_bounded_exponent(
     """
     rng = _default_rng(rng, "bogolyubov")
     ms = mode_sets(a, mode, m)
-    y, trace = croot_sisask(
-        a, mode, 4, strategy=strategy, rng=rng.derive("cs"), target=(ms.words, ms.w)
-    )
+    y, trace = croot_sisask(a, mode, 4, rng=rng.derive("cs"), target=(ms.words, ms.w))
     witness = largest_subgroup_inside(ms.w, ms.sigma, heuristic_tries, rng.derive("oracle"))
     sub = witness.subgroup
     normal_flag: bool | None = None
@@ -447,7 +449,8 @@ def bogolyubov_bounded_exponent(
         normalize,
         witness.method,
     )
-    double = power(product(a, inverse(a)), 2)
+    # (AA^-1)^2: the word A A^-1 A A^-1 in tripling mode, W(A) in alternation.
+    double = ms.words["+-+-"] if mode == "tripling" else ms.w
     return BogolyubovReport(
         mode,
         m,

@@ -26,7 +26,7 @@ from .errors import (
     SpecSyntaxError,
     TheoremViolationError,
 )
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, elements_mask
 from .reporting import as_key, jsonable
 from .rng import SplitRng
 
@@ -45,13 +45,7 @@ class GroupSet:
 
     @classmethod
     def from_indices(cls, group: Group, indices) -> "GroupSet":
-        mask = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < group.order:
-                raise ValueError(f"element {i} out of range for {group.label}")
-            mask |= 1 << i
-        return cls(group, mask)
+        return cls(group, elements_mask(group, indices))
 
     @classmethod
     def empty(cls, group: Group) -> "GroupSet":
@@ -177,8 +171,8 @@ def left_translate(g: int, x: GroupSet) -> GroupSet:
 
 
 def right_translate(x: GroupSet, g: int) -> GroupSet:
-    _, rows = next(kernels.translate_rows(x.group, x.bools, np.array([g]), "right"))
-    return GroupSet(x.group, kernels.bools_to_mask(rows[0]))
+    """Xg = (g^-1 X^-1)^-1."""
+    return inverse(left_translate(x.group.invert(g), inverse(x)))
 
 
 def eval_word(x: GroupSet, signs: str) -> GroupSet:

@@ -23,10 +23,11 @@ import numpy as np
 from . import kernels
 from .errors import FeasibilityError, PreconditionError, TheoremViolationError
 from .reporting import as_key, digest, jsonable
-from .sets import GroupSet
+from .sets import GroupSet, inverse
 
 DEFAULT_VC_CAP = 6
-DEFAULT_VC_STATES = 2_000_000
+# Candidate sets containing the identity one level of the VC search may keep.
+VC_STATE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,7 @@ def _distinct_translate_rows(a: GroupSet) -> np.ndarray:
     return np.unique(rows, axis=0)
 
 
-def vc_dimension(
-    a: GroupSet,
-    cap: int = DEFAULT_VC_CAP,
-    max_states: int = DEFAULT_VC_STATES,
-) -> VcResult:
+def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
     """Largest d <= cap such that some d-element set is shattered by {gA}.
 
     Exact level-wise search over candidate sets that contain the identity:
@@ -60,8 +57,8 @@ def vc_dimension(
     loses nothing, because X is shattered iff hX is (module docstring), and
     the witness is unchanged: candidates are sorted tuples in lexicographic
     order, and the lexicographically smallest shattered set contains 0.
-    max_states bounds the candidate sets containing the identity kept at
-    one level (FeasibilityError beyond it).
+    FeasibilityError when one level keeps more than VC_STATE_BUDGET
+    candidate sets.
     """
     g = a.group
     n = g.order
@@ -101,9 +98,9 @@ def vc_dimension(
                 ok = np.unpackbits(okp, count=n).astype(bool)
                 ok[: x[-1] + 1] = False
                 new_survivors.extend(x + (int(w),) for w in np.flatnonzero(ok))
-                if len(new_survivors) > max_states:
+                if len(new_survivors) > VC_STATE_BUDGET:
                     raise FeasibilityError(
-                        f"shattering search exceeded {max_states} candidate sets"
+                        f"shattering search exceeded {VC_STATE_BUDGET} candidate sets"
                         f" containing the identity at level {level}"
                     )
         if not new_survivors:
@@ -151,8 +148,12 @@ class StabilizerProfile:
 
 def stabilizer_by_threshold(a: GroupSet, threshold: int, side: str = "left") -> GroupSet:
     """{x : |xA symdiff A| <= threshold} (|Ax symdiff A| when side="right")
-    with an integer threshold."""
-    counts = kernels.translate_diff_counts(a.group, a.mask, side)
+    with an integer threshold.  Inverting, then multiplying on the left by
+    x, gives |Ax symdiff A| = |x^-1 A^-1 symdiff A^-1| = |xA^-1 symdiff A^-1|,
+    so the right stabilizer of A is the left one of A^-1."""
+    if side == "right":
+        return stabilizer_by_threshold(inverse(a), threshold)
+    counts = kernels.translate_diff_counts(a.group, a.mask)
     return GroupSet(a.group, kernels.bools_to_mask(counts <= threshold))
 
 
@@ -170,7 +171,7 @@ def stabilizer(a: GroupSet, epsilon: Fraction, side: str = "left") -> Stabilizer
 # --- packing bound --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class HausslerReport:
     delta: Fraction
     d: int = field(metadata=as_key("vc_dim"))
@@ -194,16 +195,18 @@ def haussler_check(
         raise PreconditionError("delta must be in (0, 1]")
     vc = vc_dimension(a, cap)
     prof = stabilizer(a, delta)
-    if vc.cap_hit:
-        return HausslerReport(
-            delta, vc.value, True, None, prof.stabilizer.card, a.group.order, None
-        )
-    k = (Fraction(30) / delta) ** vc.value
-    ok = prof.stabilizer.card * k >= a.group.order
+    k = None if vc.cap_hit else (Fraction(30) / delta) ** vc.value
+    ok = None if k is None else prof.stabilizer.card * k >= a.group.order
     report = HausslerReport(
-        delta, vc.value, False, k, prof.stabilizer.card, a.group.order, bool(ok)
+        delta=delta,
+        d=vc.value,
+        cap_hit=vc.cap_hit,
+        k=k,
+        stabilizer_size=prof.stabilizer.card,
+        group_order=a.group.order,
+        ok=ok,
     )
-    if not ok:
+    if ok is False:
         raise TheoremViolationError(
             "packing-bound check failed (internal inconsistency)",
             reproducer={

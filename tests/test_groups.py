@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ablab import (
     subgroup_from_indices,
     symmetric_group,
 )
-from ablab.groups import Group, GroupSpec, core_within
+from ablab.groups import Group, GroupSpec, _index_dtype, core_within
 
 from conftest import (
     brute_associative,
@@ -114,6 +115,65 @@ class TestBuilders:
 
         with pytest.raises(GroupConstructionError):
             Group(t, "loop5")
+
+
+class TestBuilderTables:
+    """Each builder forms its table in the index dtype: the table equals the
+    plain formula, and no n x n int64 intermediate is ever allocated."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 4096])
+    def test_cyclic(self, n):
+        g = cyclic_group(n)
+        assert g.mult.dtype == _index_dtype(n)
+        r = np.arange(n)
+        for i in range(0, n, 256):  # row blocks keep the int64 oracle small
+            rows = np.arange(i, min(i + 256, n))
+            assert np.array_equal(g.mult[rows], (rows[:, None] + r[None, :]) % n)
+
+    @pytest.mark.parametrize("p, k", [(2, 5), (3, 3), (5, 2)])
+    def test_elementary_abelian(self, p, k):
+        g = elementary_abelian_group(p, k)
+        n = p**k
+
+        def add(x, y):
+            return sum((x // p**i + y // p**i) % p * p**i for i in range(k))
+
+        assert g.mult.dtype == _index_dtype(n)
+        assert g.mult.tolist() == [[add(x, y) for y in range(n)] for x in range(n)]
+
+    def test_direct_product(self, d6):
+        c4 = cyclic_group(4)
+        g = direct_product_group([c4, d6])
+        n2 = d6.order
+        want = [
+            [c4.mul(x // n2, y // n2) * n2 + d6.mul(x % n2, y % n2) for y in range(g.order)]
+            for x in range(g.order)
+        ]
+        assert g.mult.dtype == _index_dtype(g.order)
+        assert g.mult.tolist() == want
+
+    @pytest.mark.parametrize("spec", ["cyclic:4096", "ea:2^12"])
+    def test_order_4096_builds_peak_below_160_mb(self, spec):
+        # The table itself is 32 MB; int64 intermediates took 240-256 MB.
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            g = build_group(parse_group_spec(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.order == 4096
+        assert peak < 160 * 2**20
+
+
+class TestSubgroupFromIndices:
+    @pytest.mark.parametrize("bad", [[0, 99], [-1], [0, 8]])
+    def test_out_of_range_index_is_rejected_like_group_sets(self, c8, bad):
+        with pytest.raises(ValueError, match="out of range for cyclic") as info:
+            subgroup_from_indices(c8, bad)
+        with pytest.raises(ValueError) as set_info:
+            GroupSet.from_indices(c8, bad)
+        assert str(info.value) == str(set_info.value)
 
 
 class TestAssociativityCheck:

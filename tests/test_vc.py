@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction as F
 
 import pytest
@@ -122,19 +121,19 @@ class TestAnchoredSearch:
                 res = vc_dimension(random_nonempty(g, r, F(1, 2)), cap=3)
                 assert not res.witness or res.witness[0] == 0
 
-    def test_budget_names_its_limit_and_level(self):
+    def test_budget_names_its_limit_and_level(self, monkeypatch):
+        monkeypatch.setattr(ablab.vc, "VC_STATE_BUDGET", 10)
         g = elementary_abelian_group(2, 6)
         a = random_nonempty(g, rng("vc-budget"), F(1, 2))
         with pytest.raises(FeasibilityError) as info:
-            vc_dimension(a, cap=4, max_states=10)
+            vc_dimension(a, cap=4)
         assert str(info.value) == (
             "shattering search exceeded 10 candidate sets containing the"
             " identity at level 2"
         )
 
     def test_budget_exit_is_code_3_with_one_line(self, capsys, monkeypatch):
-        small = functools.partial(vc_dimension, max_states=10)
-        monkeypatch.setattr(ablab.vc, "vc_dimension", small)
+        monkeypatch.setattr(ablab.vc, "VC_STATE_BUDGET", 10)
         argv = ["diagnose", "--group", "ea:2^6", "--set", "random:density=1/2,seed=3"]
         assert main(argv + ["--vc-cap", "4"]) == 3
         err = capsys.readouterr().err
