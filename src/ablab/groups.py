@@ -40,6 +40,8 @@ DEFAULT_SIZE_BUDGET = 4096
 UNBOUNDED_ENUMERATION_LIMIT = 512
 # Coset joins one subgroup search may compute before it gives up.
 SUBGROUP_JOIN_BUDGET = 200_000
+# Table cells hashed at a time by Group.signature.
+_SIGNATURE_BLOCK_CELLS = 1 << 16
 
 
 def _index_dtype(n: int):
@@ -143,7 +145,15 @@ class Group:
         if self._signature is None:
             h = hashlib.blake2b(digest_size=16)
             h.update(self.order.to_bytes(4, "little"))
-            h.update(np.ascontiguousarray(self.mult, dtype=np.uint32).tobytes())
+            # The table as little-endian u32, a block of rows at a time.  One
+            # reused buffer: a fresh pair of arrays per block slowed the large
+            # gathers that follow at order 4096.
+            step = min(self.order, max(1, _SIGNATURE_BLOCK_CELLS // self.order))
+            buf = np.empty((step, self.order), dtype="<u4")
+            for i in range(0, self.order, step):
+                rows = buf[: min(step, self.order - i)]
+                rows[...] = self.mult[i : i + step]
+                h.update(rows)
             self._signature = h.hexdigest()
         return self._signature
 
@@ -241,7 +251,7 @@ def elementary_abelian_group(p: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) 
     if p > budget or (p >= 2 and k > budget.bit_length()):
         # p^k >= max(p, 2^k) exceeds the budget; p^k itself may be too big to form
         raise SizeBudgetError(f"group ea({p},{k}) exceeds budget {budget}")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise GroupConstructionError("p must be prime")
     n = p**k
     _check_budget(n, budget)
@@ -658,47 +668,82 @@ def abelian_coordinates(g: Group, basis: list[tuple[int, int]]) -> np.ndarray:
 # --- subgroup enumeration ------------------------------------------------------
 
 
-def cyclic_subgroups_inside(g: Group, region: int) -> list[tuple[int, int]]:
-    """(mask, generator) for each cyclic subgroup <x> contained in the region
-    mask, sorted by mask; the generator is the least such x."""
-    cyclics: dict[int, int] = {}
+def _cyclic_masks_inside(g: Group, region: int) -> dict[int, int]:
+    """x -> mask of <x>, for each x whose cyclic subgroup lies inside the
+    region mask."""
+    out = {}
     for x in mask_indices(region, g.order).tolist():
-        cyclics.setdefault(cyclic_mask(g, x), x)
-    return sorted((c, x) for c, x in cyclics.items() if not c & ~region)
+        c = cyclic_mask(g, x)
+        if not c & ~region:
+            out[x] = c
+    return out
+
+
+def cyclic_subgroups_inside(g: Group, region: int) -> set[int]:
+    """Masks of the cyclic subgroups of G inside the region mask."""
+    return set(_cyclic_masks_inside(g, region).values())
 
 
 def subgroups_inside(g: Group, region: int) -> list[int]:
     """Masks of every subgroup of G inside the region mask, by (order, mask).
-    Filters G's cached lattice, else searches depth-first by coset joins of
-    found subgroups with the cyclic subgroups inside the region, dropping
-    joins that leave it; each stacked subgroup carries its generators.  A
+
+    Filters G's cached lattice, else generates each subgroup exactly once
+    (orderly generation: Read 1978, McKay 1998).  A subgroup L has one
+    greedy generating sequence x1 < x2 < ..., where xi is the least element
+    of L outside K = <x1, ..., x(i-1)>; the search follows only these
+    sequences, depth-first.  From K it tries each x above the last
+    generator and outside K whose <x> lies inside the region, skips x unless
+    x is the least element of <x> - K and of its coset Kx (both sets lie in
+    <K, x> - K), and accepts k = join_mask(K, gens, x) iff k stays inside
+    the region and x is the least element of k - K.  An increasing sequence
+    with that property at every step is greedy for the subgroup it ends in:
+    an element y < xi of L outside <x1, ..., x(i-1)> would first enter at
+    some later step j, against xj < y.  So no subgroup is reached twice.  A
     whole-group search fills the cache.  FeasibilityError after
     SUBGROUP_JOIN_BUDGET joins."""
     if g._lattice is not None:
         return [m for m in g._lattice if not m & ~region]
-    seeds = cyclic_subgroups_inside(g, region)
-    known = {1}
+    n = g.order
+    cyclics = _cyclic_masks_inside(g, region)
+    eligible = np.zeros(n, dtype=bool)
+    eligible[list(cyclics)] = True
+    inside = mask_to_bools(region, n)
+    found = [1]
     stack: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     joins = 0
     while stack:
-        h, gens = stack.pop()
-        for c, x in seeds:
-            if c & ~h:
-                if joins == SUBGROUP_JOIN_BUDGET:
-                    raise FeasibilityError(
-                        f"subgroup search exceeded {SUBGROUP_JOIN_BUDGET} coset"
-                        f" joins after finding {len(known)} subgroups"
-                    )
-                joins += 1
-                k = join_mask(g, h, gens, x)
-                if k & ~region or k in known:
-                    continue
-                known.add(k)
-                stack.append((k, gens + (x,)))
-    masks = sorted(known, key=lambda m: (m.bit_count(), m))
-    if region == (1 << g.order) - 1:
-        g._lattice = masks
-    return masks
+        kmask, gens = stack.pop()
+        kbits = mask_to_bools(kmask, n)
+        last = gens[-1] if gens else 0
+        cand = last + 1 + (eligible[last + 1 :] & ~kbits[last + 1 :]).nonzero()[0]
+        if not cand.size:
+            continue
+        # Keep x when it is the least of k*x over k in K: one column-min over
+        # K's rows, gathered for the candidate columns only.
+        cand = cand[g.mult[kbits.nonzero()[0][:, None], cand].min(axis=0) == cand]
+        for x in cand.tolist():
+            below = (1 << x) - 1
+            if cyclics[x] & ~kmask & below:
+                continue
+            if joins == SUBGROUP_JOIN_BUDGET:
+                raise FeasibilityError(
+                    f"subgroup search exceeded {SUBGROUP_JOIN_BUDGET} coset"
+                    f" joins after finding {len(found)} subgroups"
+                )
+            joins += 1
+            # Accept iff <K, x> stays inside the region and has no element
+            # below x outside K.
+            within = inside.copy()
+            within[:x] = kbits[:x]
+            k = join_mask(g, kmask, gens, x, within)
+            if not k:
+                continue
+            found.append(k)
+            stack.append((k, gens + (x,)))
+    found.sort(key=lambda m: (m.bit_count(), m))
+    if region == (1 << n) - 1:
+        g._lattice = found
+    return found
 
 
 def _lattice_masks(g: Group) -> list[int]:
@@ -711,9 +756,8 @@ def enumerate_subgroups(
 ) -> list[Subgroup]:
     """All subgroups (optionally restricted to index <= max_index).
 
-    Depth-first coset joins of cyclic subgroups (subgroups_inside),
-    deduplicated by member bitmask.  Unbounded enumeration is guarded to
-    |G| <= 512.
+    The cached lattice of subgroups_inside, which reaches each subgroup
+    once.  Unbounded enumeration is guarded to |G| <= 512.
     """
     if max_index is None and g.order > UNBOUNDED_ENUMERATION_LIMIT:
         raise FeasibilityError(

@@ -97,13 +97,17 @@ def cyclic_mask(group, x: int) -> int:
     return mask
 
 
-def join_mask(group, kmask: int, gens: tuple[int, ...], x: int) -> int:
+def join_mask(
+    group, kmask: int, gens: tuple[int, ...], x: int, within: np.ndarray | None = None
+) -> int:
     """<K, x> for the subgroup K (bitmask kmask) generated by gens, by
     Dimino's coset joins: a union of right cosets Kr grown from r = x.  Each
     product rs with s in gens + (x,) that falls outside the union adds its
     coset K(rs) with one gather mult[K, rs].  The union then contains K and
     is closed under right multiplication by every generator of <K, x>, so
-    it is that subgroup."""
+    it is that subgroup.  Given the indicator array `within` of a set that
+    contains K, returns 0 as soon as a coset leaves that set, since <K, x>
+    then does too."""
     if kmask >> x & 1:
         return kmask
     mult = group.mult
@@ -111,14 +115,23 @@ def join_mask(group, kmask: int, gens: tuple[int, ...], x: int) -> int:
     bits = mask_to_bools(kmask, group.order)
     kidx = bits.nonzero()[0]
     span = np.asarray(gens + (x,))
-    reps = [x]
-    # The table holds uint16; scattering through intp indices is much faster.
-    bits[cols[x][kidx].astype(np.intp)] = True
+    reps: list[int] = []
+
+    def add_coset(r: int) -> bool:
+        # The table holds uint16; scattering through intp indices is much faster.
+        coset = cols[r][kidx].astype(np.intp)
+        if within is not None and not within[coset].all():
+            return False
+        bits[coset] = True
+        reps.append(r)
+        return True
+
+    if not add_coset(x):
+        return 0
     for r in reps:
         for rs in mult[r][span].tolist():
-            if not bits[rs]:
-                bits[cols[rs][kidx].astype(np.intp)] = True
-                reps.append(rs)
+            if not bits[rs] and not add_coset(rs):
+                return 0
     return bools_to_mask(bits)
 
 

@@ -8,7 +8,6 @@ exact arithmetic before the report is emitted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -326,7 +325,7 @@ def _largest_first(m: int) -> tuple[int, int]:
 
 
 def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[int]:
-    found = {c for c, _ in cyclic_subgroups_inside(g, region)}
+    found = cyclic_subgroups_inside(g, region)
     for side in ("left", "right"):
         sym = stabilizer_by_threshold(GroupSet(g, region), 0, side).mask
         if not sym & ~region:
@@ -550,6 +549,13 @@ def _floor_delta_times(dpow: Fraction, e: int, scale: int) -> int:
     return lo
 
 
+def _tripling_steps_exhausted(t: int, p: Fraction, n: int) -> bool:
+    """3^(t p) >= n, in integers.  Each tripling step grows |B| by more
+    than 3^p from |B| >= 1, and |B| <= n, so no group of order n allows a
+    t-th step once this holds."""
+    return 3 ** (t * p.numerator) >= n**p.denominator
+
+
 @dataclass(kw_only=True)
 class RegularityReport:
     eps: Fraction
@@ -682,14 +688,13 @@ def regularity_decompose(
         )
     b = s
     t = 0
-    max_t = int(math.log(max(n, 2)) / (float(p) * math.log(3.0))) + 3
     while True:
         b3 = power(b, 3)
         if b3.card ** p.denominator <= 3**p.numerator * b.card**p.denominator:
             break
         b = b3
         t += 1
-        if t > max_t:
+        if _tripling_steps_exhausted(t, p, n):
             raise TheoremViolationError(
                 "tripling escalation failed to terminate within its bound",
                 reproducer={"group": g.label, "set": sorted(a)},

@@ -10,6 +10,10 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+import numpy as np
+
+from .kernels import bools_to_mask
+
 _U64 = 1 << 64
 
 
@@ -33,11 +37,17 @@ class SplitRng:
         h = hashlib.blake2b(label.encode("utf-8"), digest_size=32, key=self._key)
         return SplitRng(h.digest())
 
-    def _refill(self) -> None:
+    def _block(self) -> bytes:
+        """The next 32-byte block: four little-endian u64 draws, which
+        next_u64 pops last first."""
         block = hashlib.blake2b(
             self._counter.to_bytes(8, "little"), digest_size=32, key=self._key
         ).digest()
         self._counter += 1
+        return block
+
+    def _refill(self) -> None:
+        block = self._block()
         self._pool = [
             int.from_bytes(block[i : i + 8], "little") for i in range(0, 32, 8)
         ]
@@ -75,9 +85,25 @@ class SplitRng:
         return pool[:k]
 
     def subset_mask(self, n: int, density: Fraction) -> int:
-        """Random bit vector of length n, each bit set with probability density."""
-        mask = 0
-        for i in range(n):
-            if self.bernoulli(density):
-                mask |= 1 << i
-        return mask
+        """Random bit vector of length n, each bit set with probability
+        density: bit i is bernoulli(density) on the i-th next_u64 draw.  The
+        draws past the pool come a block at a time and are compared in numpy
+        with ceil(num * 2^64 / den), since an integer u has u den < num 2^64
+        iff u is below that ceiling."""
+        head = self._pool[: -n - 1 : -1]  # what next_u64 would pop first
+        del self._pool[len(self._pool) - len(head) :]
+        rest = n - len(head)
+        blocks = -(-rest // 4)
+        raw = b"".join(self._block() for _ in range(blocks))
+        words = np.frombuffer(raw, dtype="<u8").reshape(blocks, 4)
+        if blocks:
+            self._pool = words[-1, : 4 * blocks - rest].tolist()
+        draws = np.concatenate(
+            [np.array(head, dtype=np.uint64), words[:, ::-1].ravel()[:rest]]
+        )
+        limit = -(-density.numerator * _U64 // density.denominator)
+        if limit <= 0:
+            return 0
+        if limit >= _U64:
+            return (1 << n) - 1
+        return bools_to_mask(draws < np.uint64(limit))

@@ -127,23 +127,43 @@ def brute_closure(g: Group, seed) -> frozenset[int]:
 
 
 def naive_subgroups_inside(g: Group, wset: set[int]) -> set[frozenset[int]]:
-    """Join-fixpoint enumeration of every subgroup contained in wset."""
-    found = {frozenset([0])}
-    for x in wset:
-        c = brute_closure(g, [x])
+    """Join-fixpoint enumeration of every subgroup contained in wset.
+
+    A subgroup is generated by the cyclic subgroups it contains, so each
+    round joins every subgroup found in the last round with every cyclic
+    subgroup inside wset.  A join is the breadth-first closure of {0} under
+    right multiplication by its generators, read from the table as plain
+    lists."""
+    table = g.mult.tolist()
+
+    def close(gens: tuple[int, ...]) -> frozenset[int]:
+        elems, frontier = {0}, [0]
+        while frontier:
+            row = table[frontier.pop()]
+            for s in gens:
+                if row[s] not in elems:
+                    elems.add(row[s])
+                    frontier.append(row[s])
+        return frozenset(elems)
+
+    cyclics: dict[frozenset[int], int] = {}
+    for x in sorted(wset):
+        c = close((x,))
         if c <= wset:
-            found.add(c)
-    while True:
-        fresh = set()
-        pool = sorted(found, key=sorted)
-        for i, a in enumerate(pool):
-            for b in pool[i + 1 :]:
-                j = brute_closure(g, a | b)
-                if j <= wset and j not in found:
-                    fresh.add(j)
-        if not fresh:
-            return found
-        found |= fresh
+            cyclics.setdefault(c, x)
+    found = {frozenset([0]): ()}
+    last = dict(found)
+    while last:
+        fresh: dict[frozenset[int], tuple[int, ...]] = {}
+        for h, gens in last.items():
+            for c, x in cyclics.items():
+                if not c <= h:
+                    j = close(gens + (x,))
+                    if j <= wset and j not in found and j not in fresh:
+                        fresh[j] = gens + (x,)
+        found.update(fresh)
+        last = fresh
+    return set(found)
 
 
 def brute_stabilizer(g: Group, members, bound, side: str) -> set[int]:

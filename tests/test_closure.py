@@ -91,3 +91,9 @@ def test_closure_and_join_of_random_seed_masks(label, data):
     kmask = as_mask(brute_closure(g, gens))
     want = as_mask(brute_closure(g, gens + (x,)))
     assert kernels.join_mask(g, kmask, gens, x) == want
+    # Bounded by a set that contains K: 0 exactly when <K, x> leaves it.
+    within = kmask | data.draw(st.integers(0, (1 << g.order) - 1))
+    if data.draw(st.booleans()):
+        within |= want
+    got = kernels.join_mask(g, kmask, gens, x, kernels.mask_to_bools(within, g.order))
+    assert got == (0 if want & ~within else want)

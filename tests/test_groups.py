@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ablab.groups
 from ablab import (
     FeasibilityError,
     GroupConstructionError,
@@ -84,6 +85,37 @@ class TestBuilders:
         assert relabelled == g
         assert hash(relabelled) == hash(g)
         assert relabelled in {g}
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, 25, 49, 121, 169])
+    def test_elementary_abelian_needs_a_prime(self, p):
+        with pytest.raises(GroupConstructionError, match="must be prime"):
+            elementary_abelian_group(p, 1)
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            ("cyclic:12", "5b00f190ce9c52299ffb6c5fb6331791"),
+            ("sym:4", "f580b2a91fee2ae8f6d599671cd17159"),
+            ("ea:2^4", "0be7fc17194519564f5ecf9f3dbdcb1a"),
+        ],
+    )
+    def test_signature_digests_are_pinned(self, spec, digest, monkeypatch):
+        # Hashed a block of rows at a time; the digest must not depend on
+        # the block size, nor on a short last block.
+        assert build_group(parse_group_spec(spec)).signature == digest
+        monkeypatch.setattr(ablab.groups, "_SIGNATURE_BLOCK_CELLS", 100)
+        assert build_group(parse_group_spec(spec)).signature == digest
+
+    def test_signature_of_order_4096_peaks_below_8_mb(self):
+        g = cyclic_group(4096)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            g.signature
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_identity_is_zero_everywhere(self, small_zoo):
         for g in small_zoo:

@@ -27,7 +27,12 @@ from ablab import (
     subgroup_from_indices,
     vc_dimension,
 )
-from ablab.pipelines import Subgroup, coset_masks, subgroup_candidates_inside
+from ablab.pipelines import (
+    Subgroup,
+    _tripling_steps_exhausted,
+    coset_masks,
+    subgroup_candidates_inside,
+)
 from ablab.reporting import jsonable
 
 from conftest import (
@@ -298,6 +303,26 @@ class TestCosetRegularity:
             h = Subgroup(g, masks[0], verify=False)
             z, _ = coset_regularity(a, h, eps)
             assert 4 * z.card**2 * eps.denominator < eps.numerator * g.order**2
+
+
+class TestTriplingBound:
+    """The escalation stops once 3^(t p) >= n, decided in integers."""
+
+    @pytest.mark.parametrize(
+        "p, n, t_last",
+        [
+            (F(2), 81, 1),  # 9 < 81 <= 81
+            (F(2), 82, 2),
+            (F(1), 3**40, 39),
+            (F(1), 3**40 + 1, 40),
+            (F(3, 2), 27, 1),  # 3^(3/2) < 27 <= 3^3
+            (F(3, 2), 28, 2),
+            (F(5, 3), 2, 0),
+        ],
+    )
+    def test_last_step_allowed(self, p, n, t_last):
+        assert not _tripling_steps_exhausted(t_last, p, n)
+        assert _tripling_steps_exhausted(t_last + 1, p, n)
 
 
 class TestRegularityPipeline:

@@ -1,9 +1,11 @@
 """groups.subgroups_inside, the one exhaustive subgroup search, against the
-plain-loop oracle naive_subgroups_inside, with and without a cached lattice,
-and its join budget in the library, the subgroup oracle and the CLI."""
+plain-loop oracle naive_subgroups_inside, with and without a cached lattice;
+the lattice sizes of ea(2,k), which are the Galois numbers; and its join
+budget in the library, the subgroup oracle and the CLI."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +26,16 @@ from ablab.groups import Group, subgroups_inside
 
 from conftest import naive_subgroups_inside, random_nonempty, rng
 
-SPECS = ["cyclic:12", "ea:2^4", "ea:3^2", "sym:4", "dihedral:6", "alt:4"]
+SPECS = [
+    "cyclic:12",
+    "ea:2^4",
+    "ea:3^2",
+    "sym:4",
+    "dihedral:6",
+    "alt:4",
+    "dihedral:64",
+    "prod:cyclic:2+sym:3",
+]
 ZOO = {spec: build_group(parse_group_spec(spec)) for spec in SPECS}
 
 
@@ -52,6 +63,7 @@ def regions(g: Group, label: str) -> list[int]:
 def check_region(g: Group, region: int) -> None:
     masks = subgroups_inside(g, region)
     assert masks == sorted(masks, key=lambda m: (m.bit_count(), m))
+    assert len(set(masks)) == len(masks), "a subgroup was emitted twice"
     wset = {i for i in range(g.order) if region >> i & 1}
     assert as_sets(g, masks) == naive_subgroups_inside(g, wset)
 
@@ -79,6 +91,40 @@ def test_property_matches_naive_oracle(spec, bits, cached):
     if cached:
         subgroups_inside(g, (1 << g.order) - 1)
     check_region(g, bar_closure(GroupSet(g, bits % (1 << g.order))).mask)
+
+
+# Subgroups of ea(2,k), the Galois numbers G_k(2) (OEIS A006116).
+GALOIS_NUMBERS = {1: 2, 2: 5, 3: 16, 4: 67, 5: 374, 6: 2825, 7: 29212}
+
+
+@pytest.mark.parametrize("k", sorted(GALOIS_NUMBERS))
+def test_ea2_lattice_sizes_are_the_galois_numbers(k):
+    g = build_group(parse_group_spec(f"ea:2^{k}"))
+    masks = subgroups_inside(g, (1 << g.order) - 1)
+    assert len(masks) == len(set(masks)) == GALOIS_NUMBERS[k]
+
+
+class TestOrderlyJoinCount:
+    """In ea(2,k) every join the orderly search makes is accepted, so the
+    whole lattice costs exactly one join per subgroup besides {0}."""
+
+    def _lattice(self, monkeypatch, budget: int) -> list[int]:
+        monkeypatch.setattr(ablab.groups, "SUBGROUP_JOIN_BUDGET", budget)
+        g = build_group(parse_group_spec("ea:2^6"))
+        return subgroups_inside(Group(g.mult, g.label), (1 << g.order) - 1)
+
+    def test_ea2_6_fits_2824_joins(self, monkeypatch):
+        assert len(self._lattice(monkeypatch, 2824)) == 2825
+
+    def test_ea2_6_exceeds_2823_joins(self, monkeypatch):
+        with pytest.raises(FeasibilityError, match="exceeded 2823 coset joins"):
+            self._lattice(monkeypatch, 2823)
+
+
+def test_cli_lists_the_29212_subgroups_of_ea2_7(capsys, monkeypatch):
+    monkeypatch.setattr(ablab.cli, "_GROUP_CACHE", {})
+    assert main(["group", "--group", "ea:2^7", "--subgroups"]) == 0
+    assert json.loads(capsys.readouterr().out)["subgroup_count"] == 29212
 
 
 class TestJoinBudget:
