@@ -61,7 +61,6 @@ from .vc import (
     StabilizerProfile,
     VcResult,
     haussler_check,
-    naive_vc_dimension,
     stabilizer,
     vc_dimension,
 )

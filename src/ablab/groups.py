@@ -1,8 +1,8 @@
 """Finite groups as dense Cayley tables with 0-based element indices.
 
 Element 0 is always the identity.  Groups are immutable after construction;
-lazy caches (orders, abelianization, subgroup lattice) are computed
-idempotently, so concurrent readers are safe.
+lazy caches (cyclic subgroups, orders, abelianization, subgroup lattice) are
+computed idempotently, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
 from .kernels import (
     bools_to_mask,
     closure_mask,
-    cyclic_mask,
     indices_to_mask,
     inverse_mask,
     join_mask,
@@ -74,6 +73,7 @@ class Group:
         _validate_table(self)
         self.mult.setflags(write=False)
         self.inv.setflags(write=False)
+        self._cyclic_masks: list[int] | None = None
         self._orders: np.ndarray | None = None
         self._exponent: int | None = None
         self._is_abelian: bool | None = None
@@ -108,23 +108,35 @@ class Group:
 
     # --- cached invariants --------------------------------------------------
 
+    def powers(self, x: int) -> list[int]:
+        """[1, x, x^2, ..., x^(m-1)] for x of order m: the one power walk."""
+        out = [0]
+        p = x
+        while p:
+            out.append(p)
+            p = int(self.mult[p, x])
+        return out
+
+    def cyclic_masks(self) -> list[int]:
+        """masks[x] = bitmask of <x>.  One power walk per cyclic subgroup: x
+        in increasing order, skipping any x already covered, and <x> is
+        assigned to every generator x^k with gcd(k, m) = 1 (gcd(0, 1) = 1
+        covers the identity)."""
+        if self._cyclic_masks is None:
+            masks = [0] * self.order
+            for x in range(self.order):
+                if not masks[x]:
+                    pows = self.powers(x)
+                    mask = sum(1 << y for y in pows)
+                    for k, y in enumerate(pows):
+                        if math.gcd(k, len(pows)) == 1:
+                            masks[y] = mask
+            self._cyclic_masks = masks
+        return self._cyclic_masks
+
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            n = self.order
-            orders = np.zeros(n, dtype=np.int64)
-            orders[0] = 1
-            remaining = np.arange(1, n)
-            power = remaining.copy()
-            k = 1
-            while remaining.size:
-                finished = power == 0
-                orders[remaining[finished]] = k
-                keep = ~finished
-                remaining = remaining[keep]
-                power = power[keep]
-                if remaining.size:
-                    power = self.mult[power, remaining].astype(np.int64)
-                    k += 1
+            orders = np.array([m.bit_count() for m in self.cyclic_masks()], dtype=np.int64)
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
@@ -620,11 +632,8 @@ def abelian_basis(g: Group) -> list[tuple[int, int]]:
     n1 = int(orders[a])
     if n1 == g.order:
         return [(a, n1)]
-    amask = cyclic_mask(g, a)
-    q, proj = quotient_by(g, amask, verify=False)
-    apows = [0]
-    for _ in range(n1 - 1):
-        apows.append(int(g.mult[apows[-1], a]))
+    q, proj = quotient_by(g, g.cyclic_masks()[a], verify=False)
+    apows = g.powers(a)
     apos = {e: i for i, e in enumerate(apows)}
     out = [(a, n1)]
     for bq, m in abelian_basis(q):
@@ -647,9 +656,9 @@ def abelian_coordinates(g: Group, basis: list[tuple[int, int]]) -> np.ndarray:
     """Coordinate table: coords[x] = exponents of x in the given basis."""
     items: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     for b, m in basis:
-        bpows = [0]
-        for _ in range(m - 1):
-            bpows.append(int(g.mult[bpows[-1], b]))
+        bpows = g.powers(b)
+        if len(bpows) != m:
+            raise GroupConstructionError(f"basis element {b} does not have order {m}")
         items = [
             (int(g.mult[e, bp]), co + (j,))
             for e, co in items
@@ -668,20 +677,9 @@ def abelian_coordinates(g: Group, basis: list[tuple[int, int]]) -> np.ndarray:
 # --- subgroup enumeration ------------------------------------------------------
 
 
-def _cyclic_masks_inside(g: Group, region: int) -> dict[int, int]:
-    """x -> mask of <x>, for each x whose cyclic subgroup lies inside the
-    region mask."""
-    out = {}
-    for x in mask_indices(region, g.order).tolist():
-        c = cyclic_mask(g, x)
-        if not c & ~region:
-            out[x] = c
-    return out
-
-
 def cyclic_subgroups_inside(g: Group, region: int) -> set[int]:
     """Masks of the cyclic subgroups of G inside the region mask."""
-    return set(_cyclic_masks_inside(g, region).values())
+    return {m for m in g.cyclic_masks() if not m & ~region}
 
 
 def subgroups_inside(g: Group, region: int) -> list[int]:
@@ -704,9 +702,8 @@ def subgroups_inside(g: Group, region: int) -> list[int]:
     if g._lattice is not None:
         return [m for m in g._lattice if not m & ~region]
     n = g.order
-    cyclics = _cyclic_masks_inside(g, region)
-    eligible = np.zeros(n, dtype=bool)
-    eligible[list(cyclics)] = True
+    cyclics = g.cyclic_masks()
+    eligible = np.array([not c & ~region for c in cyclics])
     inside = mask_to_bools(region, n)
     found = [1]
     stack: list[tuple[int, tuple[int, ...]]] = [(1, ())]
@@ -757,12 +754,15 @@ def enumerate_subgroups(
     """All subgroups (optionally restricted to index <= max_index).
 
     The cached lattice of subgroups_inside, which reaches each subgroup
-    once.  Unbounded enumeration is guarded to |G| <= 512.
+    once.  max_index does not prune the search: it filters the finished
+    lattice.  Without it, |G| must be at most UNBOUNDED_ENUMERATION_LIMIT;
+    with it, any order is searched under SUBGROUP_JOIN_BUDGET.
     """
     if max_index is None and g.order > UNBOUNDED_ENUMERATION_LIMIT:
         raise FeasibilityError(
-            f"unbounded enumeration needs |G| <= {UNBOUNDED_ENUMERATION_LIMIT}; "
-            "pass max_index"
+            f"unbounded enumeration needs |G| <= {UNBOUNDED_ENUMERATION_LIMIT};"
+            " max_index searches the whole lattice under the"
+            f" {SUBGROUP_JOIN_BUDGET}-join budget, then filters it by index"
         )
     masks = _lattice_masks(g)
     subs = [Subgroup(g, m, verify=False) for m in masks]

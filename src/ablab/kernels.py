@@ -87,16 +87,6 @@ def power_mask(group, mask: int, k: int) -> int:
     return result
 
 
-def cyclic_mask(group, x: int) -> int:
-    """Bitmask of the cyclic subgroup generated by x."""
-    mask = 1
-    p = x
-    while p != 0:
-        mask |= 1 << p
-        p = int(group.mult[p, x])
-    return mask
-
-
 def join_mask(
     group, kmask: int, gens: tuple[int, ...], x: int, within: np.ndarray | None = None
 ) -> int:

@@ -8,6 +8,7 @@ exact arithmetic before the report is emitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -556,6 +557,19 @@ def _tripling_steps_exhausted(t: int, p: Fraction, n: int) -> bool:
     return 3 ** (t * p.numerator) >= n**p.denominator
 
 
+def _root_float(x: Fraction, r: int) -> float | None:
+    """x^(1/r) as a float, for display only.  Computed in log space when x
+    itself is beyond the float range; None when the root is too."""
+    try:
+        return float(x) ** (1.0 / r)
+    except OverflowError:
+        log_root = (math.log(x.numerator) - math.log(x.denominator)) / r
+    try:
+        return math.exp(log_root)
+    except OverflowError:
+        return None
+
+
 @dataclass(kw_only=True)
 class RegularityReport:
     eps: Fraction
@@ -568,7 +582,7 @@ class RegularityReport:
     delta_float: float = field(metadata=as_key("delta"))
     delta_exact: Fraction | None
     stab_threshold: int
-    k_float: float = field(metadata=as_key("k"))
+    k_float: float | None = field(metadata=as_key("k"))
     p: Fraction
     t: int
     s: GroupSet = field(metadata=as_key("s_card", card))
@@ -677,7 +691,7 @@ def regularity_decompose(
     delta_float = float(dpow) ** (1.0 / e)
     delta_exact = dpow if e == 1 else None
     kpow = Fraction(30) ** e / dpow  # k^vb
-    k_float = float(kpow) ** (1.0 / vb)
+    k_float = _root_float(kpow, vb)
     p = Fraction(d) * (d + nu) / nu
     s = stabilizer_by_threshold(a, threshold)
     haussler_ok = Fraction(s.card) ** vb * kpow >= Fraction(n) ** vb

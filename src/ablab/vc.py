@@ -14,7 +14,6 @@ divides the candidates at every level by about |G|.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,31 +106,6 @@ def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
             return VcResult(level - 1, False, survivors[0])
         survivors = new_survivors
     return VcResult(cap, True, survivors[0])
-
-
-def naive_vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> int:
-    """Independent oracle: plain enumeration with set arithmetic, no pruning.
-
-    Only sensible for |G| <= 32 or so.
-    """
-    g = a.group
-    n = g.order
-    members = set(a.indices().tolist())
-    translates = set()
-    for t in range(n):
-        translates.add(frozenset(g.mul(t, x) for x in members))
-    best = 0
-    for d in range(1, cap + 1):
-        found = False
-        for x in itertools.combinations(range(n), d):
-            traces = {tuple(e in tr for e in x) for tr in translates}
-            if len(traces) == 1 << d:
-                found = True
-                break
-        if not found:
-            break
-        best = d
-    return best
 
 
 # --- stabilizers -------------------------------------------------------------

@@ -7,6 +7,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from ablab import (
     elementary_abelian_group,
     symmetric_group,
 )
-from ablab.vc import VcResult
+from ablab.vc import DEFAULT_VC_CAP, VcResult
 
 
 @pytest.fixture(scope="session")
@@ -201,6 +202,23 @@ def brute_associative(table) -> bool:
         for y in range(n)
         for z in range(n)
     )
+
+
+def naive_vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> int:
+    """Plain enumeration with set arithmetic, no pruning: the largest d <= cap
+    such that some d-set is shattered.  Only sensible for |G| <= 32 or so."""
+    g = a.group
+    members = set(a)
+    translates = {frozenset(g.mul(t, x) for x in members) for t in range(g.order)}
+    best = 0
+    for d in range(1, cap + 1):
+        if not any(
+            len({tuple(e in tr for e in x) for tr in translates}) == 1 << d
+            for x in itertools.combinations(range(g.order), d)
+        ):
+            break
+        best = d
+    return best
 
 
 def levelwise_vc_dimension(a: GroupSet, cap: int) -> VcResult:

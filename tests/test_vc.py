@@ -13,7 +13,6 @@ from ablab import (
     dihedral_group,
     elementary_abelian_group,
     haussler_check,
-    naive_vc_dimension,
     stabilizer,
     subgroup_from_indices,
     symmetric_group,
@@ -22,7 +21,13 @@ from ablab import (
 from ablab.cli import main
 from ablab.vc import VcResult, stabilizer_by_threshold
 
-from conftest import brute_stabilizer, levelwise_vc_dimension, random_nonempty, rng
+from conftest import (
+    brute_stabilizer,
+    levelwise_vc_dimension,
+    naive_vc_dimension,
+    random_nonempty,
+    rng,
+)
 
 ZOO = {
     "cyclic:12": cyclic_group(12),
