@@ -74,14 +74,14 @@ from .bohr import (
 )
 from .pipelines import (
     BogolyubovReport,
+    CosetDecomposition,
     CSTrace,
     ModeSets,
     RegularityReport,
     SaturationReport,
     SubgroupWitness,
     bogolyubov_bounded_exponent,
-    coset_regularity,
-    coset_structure,
+    coset_decomposition,
     croot_sisask,
     dense_saturation_check,
     largest_subgroup_inside,

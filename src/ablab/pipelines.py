@@ -9,7 +9,8 @@ exact arithmetic before the report is emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar
 
@@ -62,7 +63,7 @@ def containment_target(a: GroupSet) -> tuple[dict[str, GroupSet], GroupSet]:
     return words, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModeSets:
     """The standard sets attached to a base set in one of the two modes.
 
@@ -100,8 +101,17 @@ def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
         raise ValueError(f"unknown mode {mode!r}")
     # V is symmetric and contains 1, so the union of the powers V^k is <V>.
     sigma = Subgroup(g, g.closure(v.mask), verify=False)
-    sigma_is_vm = power(v, m).mask == sigma.mask
-    return ModeSets(mode, a, v, w, words, m, sigma, sigma_is_vm, growth)
+    return ModeSets(
+        mode=mode,
+        base=a,
+        v=v,
+        w=w,
+        words=words,
+        m=m,
+        sigma=sigma,
+        sigma_is_vm=power(v, m).mask == sigma.mask,
+        growth_k=growth,
+    )
 
 
 # --- almost-periodicity search -------------------------------------------------
@@ -126,7 +136,7 @@ class CSTargetTrace:
     accepted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CSTrace:
     mode: str
     verified_n: int
@@ -303,15 +313,22 @@ def croot_sisask(
             reproducer={"group": g.label, "set": sorted(x), "mode": mode, "n": n},
         )
     v2 = product(v, v)
-    covering = v2.card if degenerate else covering_number(v2, y, v2)
-    trace = CSTrace(mode, n, y, w, covering, degenerate, targets)
+    trace = CSTrace(
+        mode=mode,
+        verified_n=n,
+        y=y,
+        w=w,
+        covering_count=v2.card if degenerate else covering_number(v2, y, v2),
+        degenerate=degenerate,
+        targets=targets,
+    )
     return y, trace
 
 
 # --- subgroup discovery inside symmetric sets -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SubgroupWitness:
     subgroup: Subgroup
     container: GroupSet = field(metadata=as_key("container_digest", digest))
@@ -327,10 +344,11 @@ def _largest_first(m: int) -> tuple[int, int]:
 
 def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[int]:
     found = cyclic_subgroups_inside(g, region)
-    for side in ("left", "right"):
-        sym = stabilizer_by_threshold(GroupSet(g, region), 0, side).mask
-        if not sym & ~region:
-            found.add(sym)
+    # The region is symmetric, so its right stabilizer, the left one of its
+    # inverse, is its left one.
+    sym = stabilizer_by_threshold(GroupSet(g, region), 0).mask
+    if not sym & ~region:
+        found.add(sym)
     pool = sorted(found, key=_largest_first)
     region_elems = [int(i) for i in mask_indices(region, g.order)]
     for _ in range(tries):
@@ -391,13 +409,20 @@ def largest_subgroup_inside(
             "oracle returned a subgroup escaping its container",
             reproducer={"group": w.group.label, "container": sorted(w)},
         )
-    return SubgroupWitness(sub, w, ambient.order // sub.order, None, False, method)
+    return SubgroupWitness(
+        subgroup=sub,
+        container=w,
+        index=ambient.order // sub.order,
+        cover_count=None,
+        normalized=False,
+        method=method,
+    )
 
 
 # --- Bogolyubov witnesses for bounded exponent ------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BogolyubovReport:
     mode: str
     m: int
@@ -439,34 +464,31 @@ def bogolyubov_bounded_exponent(
     if normalize:
         sub = core_within(sub, ms.sigma)
         normal_flag = core_within(sub, ms.sigma) == sub
-    vm = power(ms.v, m)
-    cover = covering_number(vm, sub.members, ms.sigma.members)
-    witness = SubgroupWitness(
-        sub,
-        ms.w,
-        ms.sigma.order // sub.order,
-        cover,
-        normalize,
-        witness.method,
+    witness = replace(
+        witness,
+        subgroup=sub,
+        index=ms.sigma.order // sub.order,
+        cover_count=covering_number(power(ms.v, m), sub.members, ms.sigma.members),
+        normalized=normalize,
     )
     # (AA^-1)^2: the word A A^-1 A A^-1 in tripling mode, W(A) in alternation.
     double = ms.words["+-+-"] if mode == "tripling" else ms.w
     return BogolyubovReport(
-        mode,
-        m,
-        ms.growth_k,
-        witness,
-        trace,
-        y,
-        ms.sigma.order,
-        ms.sigma_is_vm,
+        mode=mode,
+        m=m,
+        growth_k=ms.growth_k,
+        witness=witness,
+        trace=trace,
+        y=y,
+        sigma_order=ms.sigma.order,
+        sigma_is_vm=ms.sigma_is_vm,
         h_in_w=sub.members.issubset(ms.w),
         h_in_double=sub.members.issubset(double),
         normal_in_sigma=normal_flag,
     )
 
 
-# --- coset structure and regularity ------------------------------------------------
+# --- coset decomposition -----------------------------------------------------------
 
 
 def coset_masks(g: Group, hmask: int) -> list[tuple[int, int]]:
@@ -474,57 +496,71 @@ def coset_masks(g: Group, hmask: int) -> list[tuple[int, int]]:
     return [(x, bools_to_mask(c)) for x, c in coset_walk(g, hmask)]
 
 
-def coset_structure(
-    a: GroupSet, h: Subgroup
-) -> tuple[GroupSet, Fraction]:
-    """Union D of the right cosets meeting A in at least half their points."""
-    if h.parent != a.group:
-        raise GroupMismatchError("subgroup belongs to a different group")
-    dmask = 0
-    for _, cmask in coset_masks(a.group, h.mask):
-        if 2 * (cmask & a.mask).bit_count() >= h.order:
-            dmask |= cmask
-    d = GroupSet(a.group, dmask)
-    defect = Fraction((a.mask ^ dmask).bit_count(), a.group.order)
-    return d, defect
+@dataclass(frozen=True, kw_only=True)
+class CosetDecomposition:
+    """The right cosets of H split by A: D, |A symdiff D| / |G|, Z, one table
+    row per coset, and the four coset postconditions."""
+
+    d_set: GroupSet
+    defect: Fraction
+    z: GroupSet
+    table: list[dict]
+    flags: dict[str, bool]
 
 
-def coset_regularity(
-    a: GroupSet, h: Subgroup, eps: Fraction
-) -> tuple[GroupSet, list[dict]]:
-    """Exceptional-coset set Z and the per-coset dichotomy table.
-
-    A right coset C is exceptional when |C∩A| |C\\A| exceeds sqrt(eps) |H|^2; the
-    comparison is done squared to stay in exact integers.
-    """
+def coset_decomposition(a: GroupSet, h: Subgroup, eps: Fraction) -> CosetDecomposition:
+    """D, Z, the per-coset table and their postconditions, from one walk over
+    the right cosets C of H.  C lies in D when 2 |C∩A| >= |H| and in Z when
+    |C∩A| |C\\A| exceeds sqrt(eps) |H|^2; off Z it should be sparse
+    (|C∩A|^4 <= eps |H|^4) or dense (|C\\A|^4 <= eps |H|^4).  Every
+    comparison is raised to integer powers, so each is exact."""
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if h.parent != a.group:
         raise GroupMismatchError("subgroup belongs to a different group")
+    g = a.group
+    n = g.order
     hord = h.order
-    zmask = 0
+    num, den = eps.numerator, eps.denominator
+    bound = num * hord**4
+    cosets = coset_masks(g, h.mask)
+    dmask = zmask = 0
     table = []
-    for rep, cmask in coset_masks(a.group, h.mask):
+    for rep, cmask in cosets:
         cin = (cmask & a.mask).bit_count()
         cout = hord - cin
-        prodsq = (cin * cout) ** 2
-        exceptional = prodsq * eps.denominator > eps.numerator * hord**4
+        if 2 * cin >= hord:
+            dmask |= cmask
+        exceptional = (cin * cout) ** 2 * den > bound
         if exceptional:
             zmask |= cmask
-        sparse_ok = cin**4 * eps.denominator <= eps.numerator * hord**4
-        dense_ok = cout**4 * eps.denominator <= eps.numerator * hord**4
         table.append(
             {
                 "rep": rep,
                 "in_a": cin,
                 "out_a": cout,
                 "exceptional": exceptional,
-                "sparse_ok": sparse_ok,
-                "dense_ok": dense_ok,
+                "sparse_ok": cin**4 * den <= bound,
+                "dense_ok": cout**4 * den <= bound,
             }
         )
-    return GroupSet(a.group, zmask), table
+    off = (a.mask ^ dmask).bit_count()
+    flags = {
+        "d_union_of_right_cosets": all((cmask & dmask) in (0, cmask) for _, cmask in cosets),
+        "structure_defect_le_eps": off * den <= num * n,
+        "z_bound": 4 * zmask.bit_count() ** 2 * den < num * n**2,
+        "dichotomy_off_z": all(
+            row["sparse_ok"] or row["dense_ok"] for row in table if not row["exceptional"]
+        ),
+    }
+    return CosetDecomposition(
+        d_set=GroupSet(g, dmask),
+        defect=Fraction(off, n),
+        z=GroupSet(g, zmask),
+        table=table,
+        flags=flags,
+    )
 
 
 # --- the regularity pipeline ---------------------------------------------------------
@@ -558,12 +594,16 @@ def _tripling_steps_exhausted(t: int, p: Fraction, n: int) -> bool:
 
 
 def _root_float(x: Fraction, r: int) -> float | None:
-    """x^(1/r) as a float, for display only.  Computed in log space when x
-    itself is beyond the float range; None when the root is too."""
+    """x^(1/r) as a positive x's float root, for display only.  Computed in
+    log space when x itself overflows a float or falls below the normal
+    float range; None when the root overflows too."""
     try:
-        return float(x) ** (1.0 / r)
+        f = float(x)
     except OverflowError:
-        log_root = (math.log(x.numerator) - math.log(x.denominator)) / r
+        f = math.inf
+    if sys.float_info.min <= f < math.inf:
+        return f ** (1.0 / r)
+    log_root = (math.log(x.numerator) - math.log(x.denominator)) / r
     try:
         return math.exp(log_root)
     except OverflowError:
@@ -612,19 +652,8 @@ def _trivial_regularity_report(
     # d = 0 means all translates coincide, i.e. A is empty or the whole group.
     g = a.group
     h = g.whole_subgroup()
-    dmask = a.mask if 2 * a.card >= g.order else 0
-    d_set = GroupSet(g, dmask)
-    flags = {
-        "haussler": True,
-        "escalation_bounded": True,
-        "h_in_b4": True,
-        "h_in_stab_eps": True,
-        "d_union_of_right_cosets": True,
-        "structure_defect_le_eps": (a.mask ^ dmask).bit_count() * eps.denominator
-        <= eps.numerator * g.order,
-        "z_bound": True,
-        "dichotomy_off_z": True,
-    }
+    dec = coset_decomposition(a, h, eps)
+    flags = dict.fromkeys(("haussler", "escalation_bounded", "h_in_b4", "h_in_stab_eps"), True)
     return RegularityReport(
         eps=eps,
         nu=nu,
@@ -646,12 +675,12 @@ def _trivial_regularity_report(
         method="trivial",
         retries=0,
         cover_count=1,
-        d_set=d_set,
-        structure_defect=Fraction((a.mask ^ dmask).bit_count(), g.order),
-        z=GroupSet.empty(g),
-        z_density=Fraction(0),
+        d_set=dec.d_set,
+        structure_defect=dec.defect,
+        z=dec.z,
+        z_density=Fraction(dec.z.card, g.order),
         table=[],
-        flags=flags,
+        flags=flags | dec.flags,
     )
 
 
@@ -685,13 +714,10 @@ def regularity_decompose(
     d = vc.value
     if d == 0:
         return _trivial_regularity_report(a, eps, nu)
-    va, vb = nu.numerator, nu.denominator
+    vb = nu.denominator
     dpow, e = _delta_power(eps, nu, d)
     threshold = _floor_delta_times(dpow, e, n)
-    delta_float = float(dpow) ** (1.0 / e)
-    delta_exact = dpow if e == 1 else None
     kpow = Fraction(30) ** e / dpow  # k^vb
-    k_float = _root_float(kpow, vb)
     p = Fraction(d) * (d + nu) / nu
     s = stabilizer_by_threshold(a, threshold)
     haussler_ok = Fraction(s.card) ** vb * kpow >= Fraction(n) ** vb
@@ -728,27 +754,12 @@ def regularity_decompose(
             break
         retries += 1
     sub = Subgroup(g, chosen)
-    d_set, defect = coset_structure(a, sub)
-    z, table = coset_regularity(a, sub, eps)
-    cover = covering_number(b, sub.members, GroupSet.full(g)) if b.card else None
-    cosets = coset_masks(g, sub.mask)
-    union_ok = all(
-        (cmask & d_set.mask) in (0, cmask) for _, cmask in cosets
-    )
-    dich_ok = all(
-        row["sparse_ok"] or row["dense_ok"]
-        for row in table
-        if not row["exceptional"]
-    )
+    dec = coset_decomposition(a, sub, eps)
     flags = {
         "haussler": bool(haussler_ok),
         "escalation_bounded": bool(t_bounded),
         "h_in_b4": not chosen & ~w.mask,
         "h_in_stab_eps": not chosen & ~stab_eps.mask,
-        "d_union_of_right_cosets": union_ok,
-        "structure_defect_le_eps": defect <= eps,
-        "z_bound": 4 * z.card**2 * eps.denominator < eps.numerator * n**2,
-        "dichotomy_off_z": dich_ok,
     }
     return RegularityReport(
         eps=eps,
@@ -758,10 +769,10 @@ def regularity_decompose(
         exponent=g.exponent(),
         set_digest=a.digest(),
         d=d,
-        delta_float=delta_float,
-        delta_exact=delta_exact,
+        delta_float=_root_float(dpow, e),
+        delta_exact=dpow if e == 1 else None,
         stab_threshold=threshold,
-        k_float=k_float,
+        k_float=_root_float(kpow, vb),
         p=p,
         t=t,
         s=s,
@@ -770,20 +781,20 @@ def regularity_decompose(
         index=sub.index,
         method=method,
         retries=retries,
-        cover_count=cover,
-        d_set=d_set,
-        structure_defect=defect,
-        z=z,
-        z_density=Fraction(z.card, n),
-        table=table,
-        flags=flags,
+        cover_count=covering_number(b, sub.members, GroupSet.full(g)) if b.card else None,
+        d_set=dec.d_set,
+        structure_defect=dec.defect,
+        z=dec.z,
+        z_density=Fraction(dec.z.card, n),
+        table=dec.table,
+        flags=flags | dec.flags,
     )
 
 
 # --- saturation checks -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SaturationReport:
     group_label: str = field(metadata=as_key("group"))
     group_order: int
@@ -825,4 +836,6 @@ def dense_saturation_check(
         sizes["C"] = c.card
         sizes["ABC"] = abc.card
         eqs["ABC"] = abc.mask == full
-    return SaturationReport(g.label, g.order, sizes, eqs)
+    return SaturationReport(
+        group_label=g.label, group_order=g.order, sizes=sizes, equalities=eqs
+    )

@@ -192,6 +192,52 @@ def brute_normal_core(g: Group, hset, over) -> frozenset[int]:
     )
 
 
+def brute_right_cosets(g: Group, hset) -> list[frozenset[int]]:
+    """The right cosets Hx = {h x : h in H}, each read by table lookups, in
+    the order of their least elements."""
+    cosets = {frozenset(g.mul(h, x) for h in hset) for x in range(g.order)}
+    return sorted(cosets, key=min)
+
+
+def brute_coset_decomposition(g: Group, hset, members, eps: Fraction) -> dict:
+    """D, its defect, Z, the per-coset table and the four coset flags of A in
+    the right cosets of H.  Each coset's representative is its least
+    element; every comparison is made between Python ints and Fractions."""
+    members = set(members)
+    n, hord = g.order, len(hset)
+    cosets = brute_right_cosets(g, hset)
+    d, z, table = set(), set(), []
+    for coset in cosets:
+        rep = min(coset)
+        cin = len(coset & members)
+        cout = hord - cin
+        if Fraction(cin, hord) >= Fraction(1, 2):
+            d |= coset
+        exceptional = Fraction(cin * cout, hord**2) ** 2 > eps
+        if exceptional:
+            z |= coset
+        table.append(
+            {
+                "rep": rep,
+                "in_a": cin,
+                "out_a": cout,
+                "exceptional": exceptional,
+                "sparse_ok": Fraction(cin, hord) ** 4 <= eps,
+                "dense_ok": Fraction(cout, hord) ** 4 <= eps,
+            }
+        )
+    defect = Fraction(len(d ^ members), n)
+    flags = {
+        "d_union_of_right_cosets": all(c <= d or not c & d for c in cosets),
+        "structure_defect_le_eps": defect <= eps,
+        "z_bound": 4 * Fraction(len(z), n) ** 2 < eps,
+        "dichotomy_off_z": all(
+            row["sparse_ok"] or row["dense_ok"] for row in table if not row["exceptional"]
+        ),
+    }
+    return {"d": d, "defect": defect, "z": z, "table": table, "flags": flags}
+
+
 def brute_associative(table) -> bool:
     """(xy)z == x(yz) for every triple, by plain element loops."""
     t = [list(map(int, row)) for row in table]

@@ -40,7 +40,7 @@ def _announce(tag: str, ok: bool, detail: str) -> None:
 class TestExactTheoremSuites:
     def test_1a_ruzsa_triangle(self):
         t0 = time.time()
-        rep = suite_ruzsa(SplitRng.from_seed(101).derive("acc-1a"), 1000, jobs=1)
+        rep = suite_ruzsa(SplitRng.from_seed(101).derive("acc-1a"), 1000)
         dt = time.time() - t0
         _announce(
             "1a",
@@ -50,7 +50,7 @@ class TestExactTheoremSuites:
 
     def test_1b_product_growth_chain(self):
         t0 = time.time()
-        rep = suite_plunnecke(SplitRng.from_seed(102).derive("acc-1b"), 200, jobs=1)
+        rep = suite_plunnecke(SplitRng.from_seed(102).derive("acc-1b"), 200)
         dt = time.time() - t0
         _announce(
             "1b",
@@ -59,19 +59,19 @@ class TestExactTheoremSuites:
         )
 
     def test_1c_bohr_size_and_nesting(self):
-        rep = suite_bohr_size(SplitRng.from_seed(103).derive("acc-1c"), 100, jobs=1)
+        rep = suite_bohr_size(SplitRng.from_seed(103).derive("acc-1c"), 100)
         _announce(
             "1c", rep["pass"], f"{rep['trials']} maps, {len(rep['failures'])} failures"
         )
 
     def test_1d_coset_structure_postconditions(self):
-        rep = suite_lemma82(SplitRng.from_seed(104).derive("acc-1d"), 100, jobs=1)
+        rep = suite_lemma82(SplitRng.from_seed(104).derive("acc-1d"), 100)
         _announce(
             "1d", rep["pass"], f"{rep['trials']} pairs, {len(rep['failures'])} failures"
         )
 
     def test_1e_packing_bound(self):
-        rep = suite_haussler(SplitRng.from_seed(105).derive("acc-1e"), 50, jobs=1)
+        rep = suite_haussler(SplitRng.from_seed(105).derive("acc-1e"), 50)
         _announce(
             "1e", rep["pass"], f"{rep['trials']} sets, {len(rep['failures'])} failures"
         )

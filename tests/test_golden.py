@@ -66,6 +66,9 @@ CLI_CASES = {
         "--eps 1/4 --nu 1"
     ),
     "regularity_ea4_empty": "regularity --group ea:2^4 --set elems:[] --eps 1/4 --nu 1",
+    "regularity_cyclic8_small_nu": (
+        "regularity --group cyclic:8 --set elems:[0,1] --eps 1/4 --nu 1/1000"
+    ),
     "bohr_search_cyclic16_tripling": (
         "bohr-search --group cyclic:16 --set interval:0..3 --mode tripling"
     ),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,7 @@ from ablab import (
     GroupSet,
     PreconditionError,
     bogolyubov_bounded_exponent,
-    coset_regularity,
-    coset_structure,
+    coset_decomposition,
     croot_sisask,
     cyclic_group,
     dense_saturation_check,
@@ -29,6 +29,7 @@ from ablab import (
 )
 from ablab.pipelines import (
     Subgroup,
+    _root_float,
     _tripling_steps_exhausted,
     coset_masks,
     subgroup_candidates_inside,
@@ -248,26 +249,37 @@ class TestBogolyubov:
         assert rep.witness.normalized
 
 
+def structure(a, h):
+    """D and its defect, which do not depend on eps."""
+    dec = coset_decomposition(a, h, F(1, 4))
+    return dec.d_set, dec.defect
+
+
+def regularity(a, h, eps):
+    dec = coset_decomposition(a, h, eps)
+    return dec.z, dec.table
+
+
 class TestCosetStructure:
     def test_exact_union_has_zero_defect(self, ea26):
         subs = [s for s in enumerate_subgroups(ea26) if s.index == 4]
         k = subs[0]
         a = right_translate(k.members, 1) | right_translate(k.members, 40)
-        d, defect = coset_structure(a, k)
+        d, defect = structure(a, k)
         assert d == a and defect == 0
 
     def test_coset_minus_point(self, ea24):
         k = [s for s in enumerate_subgroups(ea24) if s.order == 8][0]
         coset = right_translate(k.members, 3)
         a = coset - GroupSet.from_indices(ea24, [sorted(coset)[0]])
-        d, defect = coset_structure(a, k)
+        d, defect = structure(a, k)
         assert d == coset and defect == F(1, 16)
 
     def test_majority_count_matches_brute_force(self, ea26):
         r = rng("coset-brute")
         k = [s for s in enumerate_subgroups(ea26) if s.index == 4][0]
         a = random_nonempty(ea26, r, F(1, 2))
-        d, defect = coset_structure(a, k)
+        d, defect = structure(a, k)
         members = set(a)
         expected = set()
         for rep, cmask in coset_masks(ea26, k.mask):
@@ -282,7 +294,7 @@ class TestCosetRegularity:
     def test_union_of_cosets_has_empty_z(self, ea26):
         k = [s for s in enumerate_subgroups(ea26) if s.index == 4][0]
         a = right_translate(k.members, 2)
-        z, table = coset_regularity(a, k, F(1, 4))
+        z, table = regularity(a, k, F(1, 4))
         assert z.card == 0
         assert all(row["sparse_ok"] or row["dense_ok"] for row in table)
 
@@ -290,7 +302,7 @@ class TestCosetRegularity:
         k = [s for s in enumerate_subgroups(ea26) if s.index == 4][0]
         coset0 = k.members
         half = GroupSet.from_indices(ea26, sorted(coset0)[:8])
-        z, table = coset_regularity(half, k, F(1, 17))
+        z, table = regularity(half, k, F(1, 17))
         assert not half.mask & ~z.mask and z.card >= k.order
 
     def test_z_bound_whenever_h_stabilizes(self, small_zoo):
@@ -301,7 +313,7 @@ class TestCosetRegularity:
             stab = stabilizer(a, eps).stabilizer
             masks, _ = subgroup_candidates_inside(stab, g.whole_subgroup())
             h = Subgroup(g, masks[0], verify=False)
-            z, _ = coset_regularity(a, h, eps)
+            z, _ = regularity(a, h, eps)
             assert 4 * z.card**2 * eps.denominator < eps.numerator * g.order**2
 
 
@@ -323,6 +335,29 @@ class TestTriplingBound:
     def test_last_step_allowed(self, p, n, t_last):
         assert not _tripling_steps_exhausted(t_last, p, n)
         assert _tripling_steps_exhausted(t_last + 1, p, n)
+
+
+class TestRootFloat:
+    """The display root keeps float(x) ** (1/r) for normal x, and takes it
+    in log space when float(x) overflows, underflows or is subnormal."""
+
+    @pytest.mark.parametrize("x, r", [(F(1, 16), 2), (F(1, 12000), 1), (F(30) ** 5, 3)])
+    def test_normal_inputs_keep_the_float_power(self, x, r):
+        assert _root_float(x, r) == float(x) ** (1.0 / r)
+
+    @pytest.mark.parametrize(
+        "x, r, root",
+        [
+            (F(1, 10**400), 100, 1e-4),  # float(x) underflows to 0
+            (F(1, 3 * 2**1060), 2, 2.0**-530 / math.sqrt(3)),  # float(x) is subnormal
+            (F(10**400), 100, 1e4),  # float(x) overflows
+        ],
+    )
+    def test_out_of_range_inputs_take_the_log_root(self, x, r, root):
+        assert math.isclose(_root_float(x, r), root, rel_tol=1e-12)
+
+    def test_root_beyond_the_float_range_is_none(self):
+        assert _root_float(F(10**400), 1) is None
 
 
 class TestRegularityPipeline:
