@@ -44,6 +44,7 @@ from .sets import (
     bar_closure,
     covering_number,
     eval_word,
+    eval_words,
     growth_profile,
     inverse,
     left_translate,

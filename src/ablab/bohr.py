@@ -81,7 +81,7 @@ def approx_bohr_set(
 # --- rounding approximate homomorphisms to exact ones ------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundingResult:
     found: bool
     tau: TorusMap | None = field(metadata=OMIT)
@@ -152,7 +152,7 @@ def round_to_homomorphism(
         chosen.append(chars[int(order[pick])])
     best_overall = max(best_each) if best_each else Fraction(0)
     if any(b > two_delta for b in best_each):
-        return RoundingResult(False, None, None, best_overall)
+        return RoundingResult(found=False, tau=None, bohr=None, best_distance=best_overall)
     tau = product_map(chosen) if chosen else trivial_map(h, 0)
     bohr = bohr_set(h, tau, delta)
     target = approx_bohr_set(h, f, 3 * delta)
@@ -161,13 +161,13 @@ def round_to_homomorphism(
             "rounded Bohr set escapes the approximate Bohr set",
             reproducer={"domain": h.to_json(), "delta": [delta.numerator, delta.denominator]},
         )
-    return RoundingResult(True, tau, bohr, best_overall)
+    return RoundingResult(found=True, tau=tau, bohr=bohr, best_distance=best_overall)
 
 
 # --- witness search -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BohrWitness:
     subgroup: Subgroup
     tau: TorusMap = field(metadata=OMIT)
@@ -213,7 +213,10 @@ def bohr_witness_search(
                     "Bohr size bound failed for an exact homomorphism",
                     reproducer={"subgroup": h.to_json(), "delta": str(delta)},
                 )
-            best = BohrWitness(h, tau, delta, dim, bohr, container, ok)
+            best = BohrWitness(
+                subgroup=h, tau=tau, delta=delta, dim=dim, bohr=bohr,
+                container=container, size_bound_ok=ok,
+            )
 
     if h.members.issubset(container):
         tau = trivial_map(h, 1)

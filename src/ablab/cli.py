@@ -453,7 +453,7 @@ def cmd_saturation(args) -> int:
     a = parse_set_spec(g, args.set)
     b = parse_set_spec(g, args.set_b) if args.set_b else None
     c = parse_set_spec(g, args.set_c) if args.set_c else None
-    report = pipelines.dense_saturation_check(g, a, b, c)
+    report = pipelines.dense_saturation_check(a, b, c)
     _emit(args, report)
     return 0
 

@@ -37,10 +37,11 @@ from .kernels import bools_to_mask, mask_indices
 from .reporting import OMIT, as_key, card, digest
 from .rng import SplitRng
 from .sets import (
+    GROWTH_WORD,
     GroupSet,
     bar_closure,
     covering_number,
-    eval_word,
+    eval_words,
     inverse,
     power,
     product,
@@ -54,21 +55,21 @@ def _default_rng(rng: SplitRng | None, label: str) -> SplitRng:
 # --- mode bookkeeping ---------------------------------------------------------
 
 
-def containment_target(a: GroupSet) -> tuple[dict[str, GroupSet], GroupSet]:
-    """The tripling-mode target W(A): the four words of A keyed by their sign
-    strings (A A^-1 A A^-1, A^2 A^-2, A^-1 A A^-1 A, A^-2 A^2), and their
-    intersection W(A)."""
-    words = {signs: eval_word(a, signs) for signs in ("+-+-", "++--", "-+-+", "--++")}
-    w = words["+-+-"] & words["++--"] & words["-+-+"] & words["--++"]
-    return words, w
+# The words of A whose intersection is each mode's containment target W(A):
+# A A^-1 A A^-1, A^2 A^-2, A^-1 A A^-1 A and A^-2 A^2 under small tripling,
+# (A A^-1)^2 = V^2 under small alternation.
+MODE_WORDS = {
+    "tripling": ("+-+-", "++--", "-+-+", "--++"),
+    "alternation": ("+-+-",),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
 class ModeSets:
     """The standard sets attached to a base set in one of the two modes.
 
-    words holds the four words whose intersection is w in tripling mode, and
-    is empty in alternation mode.
+    words holds A A^-1, the mode's words and its growth word, keyed by sign
+    string; w is the intersection of the mode's words and sigma = <V>.
     """
 
     mode: str
@@ -76,29 +77,22 @@ class ModeSets:
     v: GroupSet
     w: GroupSet
     words: dict[str, GroupSet]
-    m: int
     sigma: Subgroup
-    sigma_is_vm: bool
     growth_k: Fraction
 
 
-def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
+def mode_sets(a: GroupSet, mode: str) -> ModeSets:
     if a.card == 0:
         raise EmptySetError("mode_sets needs a nonempty set")
-    if m < 0:
-        raise PreconditionError("m must be nonnegative")
-    g = a.group
-    if mode == "alternation":
-        v = product(a, inverse(a))
-        w = power(v, 2)
-        words = {}
-        growth = Fraction(eval_word(a, "+-+").card, a.card)
-    elif mode == "tripling":
-        v = bar_closure(a)
-        words, w = containment_target(a)
-        growth = Fraction(power(a, 3).card, a.card)
-    else:
+    if mode not in MODE_WORDS:
         raise ValueError(f"unknown mode {mode!r}")
+    g = a.group
+    growth = GROWTH_WORD[mode]
+    words = eval_words(a, ("+-",) + MODE_WORDS[mode] + (growth,))
+    v = words["+-"] if mode == "alternation" else bar_closure(a)
+    w = GroupSet.full(g)
+    for signs in MODE_WORDS[mode]:
+        w &= words[signs]
     # V is symmetric and contains 1, so the union of the powers V^k is <V>.
     sigma = Subgroup(g, g.closure(v.mask), verify=False)
     return ModeSets(
@@ -107,10 +101,8 @@ def mode_sets(a: GroupSet, mode: str, m: int = 4) -> ModeSets:
         v=v,
         w=w,
         words=words,
-        m=m,
         sigma=sigma,
-        sigma_is_vm=power(v, m).mask == sigma.mask,
-        growth_k=growth,
+        growth_k=Fraction(words[growth].card, a.card),
     )
 
 
@@ -145,6 +137,7 @@ class CSTrace:
     covering_count: int
     degenerate: bool
     targets: tuple[CSTargetTrace, ...]
+    sets: ModeSets = field(metadata=OMIT)
 
     @property
     def ell(self) -> Fraction:
@@ -212,18 +205,21 @@ def _ystar(v2: GroupSet, b: GroupSet, thr: Fraction, card_x: int) -> GroupSet:
 
 def _cs_target(
     label: str,
-    x: GroupSet,
-    z: GroupSet,
-    v: GroupSet,
-    w: GroupSet,
+    signs: str,
+    letters: dict[str, GroupSet],
+    ms: ModeSets,
+    v2: GroupSet,
     n_pow: int,
     strategy: str,
     rng: SplitRng,
 ) -> CSTargetTrace:
-    """Walk the t-ladder t <- t^2/(2 ell) until some Y* passes the power check."""
+    """Walk the t-ladder t <- t^2/(2 ell) of one word of the mode until some
+    Y* in V^2 has its n_pow-th power inside the word.  B is drawn from the
+    set of the word's first letter (X for "+", X^-1 for "-") to keep |BZ|
+    small, where Z is the set of its second letter."""
+    x, z, w = letters[signs[0]], letters[signs[1]], ms.words[signs]
     card = x.card
-    ell = Fraction(product(v, x).card, card)
-    v2 = product(v, v)
+    ell = Fraction(product(ms.v, x).card, card)
     t = Fraction(1)
     t_min = Fraction(1, card)
     ladder: list[tuple[Fraction, Fraction]] = []
@@ -255,54 +251,42 @@ def croot_sisask(
     n: int,
     strategy: str = "greedy",
     rng: SplitRng | None = None,
-    target: tuple[dict[str, GroupSet], GroupSet] | None = None,
 ) -> tuple[GroupSet, CSTrace]:
     """Symmetric Y containing 1 with Y^n inside the mode's containment target.
 
-    The returned containment is re-verified by direct power computation; when
-    no ladder rung verifies, the identity singleton is returned and flagged
-    degenerate (always valid, never silently wrong).  In tripling mode a
-    caller that already holds containment_target(x) passes it as target.
+    One t-ladder runs per word of the mode.  The returned containment is
+    re-verified by direct power computation; when no ladder rung verifies,
+    the identity singleton is returned and flagged degenerate (always valid,
+    never silently wrong).
     """
     if x.card == 0:
         raise EmptySetError("croot_sisask needs a nonempty set")
     if n < 1:
         raise PreconditionError("n must be a positive integer")
     rng = _default_rng(rng, "croot-sisask")
+    ms = mode_sets(x, mode)
     g = x.group
-    xinv = inverse(x)
-    identity = GroupSet(g, 1)
-    if mode == "alternation":
-        v = product(x, xinv)
-        w = power(v, 2)
-        tr = _cs_target("alt", x, xinv, v, w, n, strategy, rng)
-        targets = (tr,)
-        y = tr.y_star if tr.accepted else identity
-    elif mode == "tripling":
-        v = bar_closure(x)
-        words, w = target or containment_target(x)
-        runs = [
-            ("pi1", x, xinv, "+-+-"),
-            ("pi2", x, x, "++--"),
-            ("pi3", xinv, x, "-+-+"),
-            ("pi4", xinv, xinv, "--++"),
-        ]
-        targets = tuple(
-            _cs_target(label, base, zc, v, words[signs], 4 * n, strategy, rng)
-            for label, base, zc, signs in runs
+    letters = {"+": x, "-": inverse(x)}
+    v2 = product(ms.v, ms.v)
+    alternation = mode == "alternation"
+    n_pow = n if alternation else 4 * n
+    targets = tuple(
+        _cs_target(
+            "alt" if alternation else f"pi{i}", signs, letters, ms, v2, n_pow, strategy, rng
         )
-        if all(t.accepted for t in targets):
-            core = targets[0].y_star
-            inter = product(core, core)
-            for t in targets[1:]:
-                inter = inter & product(t.y_star, t.y_star)
-            y = product(inter, inter)
-        else:
-            y = identity
+        for i, signs in enumerate(MODE_WORDS[mode], 1)
+    )
+    if not all(t.accepted for t in targets):
+        y = GroupSet(g, 1)
+    elif alternation:
+        y = targets[0].y_star
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        inter = GroupSet.full(g)
+        for t in targets:
+            inter &= product(t.y_star, t.y_star)
+        y = product(inter, inter)
     degenerate = y.card <= 1
-    if not power(y, n).issubset(w):
+    if not power(y, n).issubset(ms.w):
         raise TheoremViolationError(
             "croot_sisask containment re-check failed",
             reproducer={"group": g.label, "set": sorted(x), "mode": mode, "n": n},
@@ -312,15 +296,15 @@ def croot_sisask(
             "croot_sisask produced a non-symmetric Y",
             reproducer={"group": g.label, "set": sorted(x), "mode": mode, "n": n},
         )
-    v2 = product(v, v)
     trace = CSTrace(
         mode=mode,
         verified_n=n,
         y=y,
-        w=w,
+        w=ms.w,
         covering_count=v2.card if degenerate else covering_number(v2, y, v2),
         degenerate=degenerate,
         targets=targets,
+        sets=ms,
     )
     return y, trace
 
@@ -429,7 +413,6 @@ class BogolyubovReport:
     growth_k: Fraction
     witness: SubgroupWitness
     trace: CSTrace
-    y: GroupSet = field(metadata=OMIT)
     sigma_order: int
     sigma_is_vm: bool
     h_in_w: bool
@@ -451,39 +434,41 @@ def bogolyubov_bounded_exponent(
 ) -> BogolyubovReport:
     """Find a subgroup inside the mode's containment target W(A).
 
-    Runs the almost-periodicity search (n=4) for its trace/covering data, then
-    the subgroup oracle directly on W; with normalize, the subgroup is replaced
-    by the intersection of its sigma-conjugates and re-verified.
+    Runs the almost-periodicity search (n=4) for its trace/covering data and
+    the mode's sets, then the subgroup oracle directly on W; with normalize,
+    the subgroup is replaced by the intersection of its sigma-conjugates and
+    re-verified.
     """
+    if m < 0:
+        raise PreconditionError("m must be nonnegative")
     rng = _default_rng(rng, "bogolyubov")
-    ms = mode_sets(a, mode, m)
-    y, trace = croot_sisask(a, mode, 4, rng=rng.derive("cs"), target=(ms.words, ms.w))
+    _, trace = croot_sisask(a, mode, 4, rng=rng.derive("cs"))
+    ms = trace.sets
     witness = largest_subgroup_inside(ms.w, ms.sigma, heuristic_tries, rng.derive("oracle"))
     sub = witness.subgroup
     normal_flag: bool | None = None
     if normalize:
         sub = core_within(sub, ms.sigma)
         normal_flag = core_within(sub, ms.sigma) == sub
+    vm = power(ms.v, m)
     witness = replace(
         witness,
         subgroup=sub,
         index=ms.sigma.order // sub.order,
-        cover_count=covering_number(power(ms.v, m), sub.members, ms.sigma.members),
+        cover_count=covering_number(vm, sub.members, ms.sigma.members),
         normalized=normalize,
     )
-    # (AA^-1)^2: the word A A^-1 A A^-1 in tripling mode, W(A) in alternation.
-    double = ms.words["+-+-"] if mode == "tripling" else ms.w
     return BogolyubovReport(
         mode=mode,
         m=m,
         growth_k=ms.growth_k,
         witness=witness,
         trace=trace,
-        y=y,
         sigma_order=ms.sigma.order,
-        sigma_is_vm=ms.sigma_is_vm,
+        sigma_is_vm=vm.mask == ms.sigma.mask,
         h_in_w=sub.members.issubset(ms.w),
-        h_in_double=sub.members.issubset(double),
+        # (A A^-1)^2, a word of both modes.
+        h_in_double=sub.members.issubset(ms.words["+-+-"]),
         normal_in_sigma=normal_flag,
     )
 
@@ -513,7 +498,12 @@ def coset_decomposition(a: GroupSet, h: Subgroup, eps: Fraction) -> CosetDecompo
     the right cosets C of H.  C lies in D when 2 |C∩A| >= |H| and in Z when
     |C∩A| |C\\A| exceeds sqrt(eps) |H|^2; off Z it should be sparse
     (|C∩A|^4 <= eps |H|^4) or dense (|C\\A|^4 <= eps |H|^4).  Every
-    comparison is raised to integer powers, so each is exact."""
+    comparison is raised to integer powers, so each is exact.
+
+    The dichotomy_off_z flag follows from Z's definition: with a = |C∩A|/|H|
+    and b = |C\\A|/|H|, a coset off Z has min(a, b)^2 <= ab <= sqrt(eps), so
+    the flag checks the code, not the lemma.  The lemma's content is z_bound,
+    4 |Z|^2 < eps |G|^2, which holds when H lies in Stab_eps(A)."""
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -610,7 +600,7 @@ def _root_float(x: Fraction, r: int) -> float | None:
         return None
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RegularityReport:
     eps: Fraction
     nu: Fraction
@@ -803,7 +793,6 @@ class SaturationReport:
 
 
 def dense_saturation_check(
-    g: Group,
     a: GroupSet,
     b: GroupSet | None = None,
     c: GroupSet | None = None,
@@ -816,26 +805,22 @@ def dense_saturation_check(
         raise EmptySetError("saturation check needs nonempty sets")
     if (b is None) != (c is None):
         raise PreconditionError("provide both B and C or neither")
-    full = (1 << g.order) - 1
-    names = {
-        "(AA^-1)^2": "+-+-",
-        "A^2A^-2": "++--",
-        "(A^-1A)^2": "-+-+",
-        "A^-2A^2": "--++",
-    }
-    words, _ = containment_target(a)
+    g = a.group
+    # The names of the tripling-mode words, in MODE_WORDS order.
+    names = ("(AA^-1)^2", "A^2A^-2", "(A^-1A)^2", "A^-2A^2")
+    words = eval_words(a, MODE_WORDS["tripling"])
     sizes: dict[str, int] = {"A": a.card}
     eqs: dict[str, bool] = {}
-    for name, signs in names.items():
+    for name, signs in zip(names, MODE_WORDS["tripling"], strict=True):
         ws = words[signs]
         sizes[name] = ws.card
-        eqs[name] = ws.mask == full
+        eqs[name] = ws.card == g.order
     if b is not None and c is not None:
         abc = product(product(a, b), c)
         sizes["B"] = b.card
         sizes["C"] = c.card
         sizes["ABC"] = abc.card
-        eqs["ABC"] = abc.mask == full
+        eqs["ABC"] = abc.card == g.order
     return SaturationReport(
         group_label=g.label, group_order=g.order, sizes=sizes, equalities=eqs
     )

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -175,22 +175,34 @@ def right_translate(x: GroupSet, g: int) -> GroupSet:
     return inverse(left_translate(x.group.invert(g), inverse(x)))
 
 
+def eval_words(x: GroupSet, words: Sequence[str]) -> dict[str, GroupSet]:
+    """Product sets of sign-string words, e.g. "+-+" = X X^-1 X, keyed by
+    word and evaluated left to right; the empty word is the identity.  A
+    prefix that several words share is computed once, and so is X^-1."""
+    prefixes = {"": GroupSet(x.group, 1), "+": x}
+    if any("-" in w for w in words):
+        prefixes["-"] = inverse(x)
+    for w in words:
+        for i in range(2, len(w) + 1):
+            if w[:i] not in prefixes:
+                prefixes[w[:i]] = product(prefixes[w[: i - 1]], prefixes[w[i - 1]])
+    return {w: prefixes[w] for w in words}
+
+
 def eval_word(x: GroupSet, signs: str) -> GroupSet:
-    """Product set of the word given by a sign string, e.g. "+-+" = X X^-1 X."""
-    if not signs:
-        return GroupSet(x.group, 1)
-    xinv = inverse(x)
-    acc: GroupSet | None = None
-    for s in signs:
-        term = x if s == "+" else xinv
-        acc = term if acc is None else product(acc, term)
-    return acc
+    """Product set of the word given by a sign string."""
+    return eval_words(x, (signs,))[signs]
+
+
+# The word whose size over |A| is the growth constant k of each mode:
+# |A^3| <= K|A| (small tripling) and |A A^-1 A| <= K|A| (small alternation).
+GROWTH_WORD = {"tripling": "+++", "alternation": "+-+"}
 
 
 # --- growth diagnostics -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GrowthProfile:
     base: GroupSet = field(metadata=as_key("set"))
     doubling: Fraction
@@ -201,19 +213,17 @@ class GrowthProfile:
 def growth_profile(x: GroupSet) -> GrowthProfile:
     if x.card == 0:
         raise EmptySetError("growth profile of the empty set")
-    x2 = product(x, x)
-    x3 = product(x2, x)
-    alt = product(product(x, inverse(x)), x)
+    words = eval_words(x, ("++", "+++", "+-+"))
     c = x.card
     return GrowthProfile(
-        x,
-        Fraction(x2.card, c),
-        Fraction(x3.card, c),
-        Fraction(alt.card, c),
+        base=x,
+        doubling=Fraction(words["++"].card, c),
+        tripling=Fraction(words["+++"].card, c),
+        alternation=Fraction(words["+-+"].card, c),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RuzsaDistance:
     """|XY^-1| together with |X| and |Y|; inequality tests stay in integers."""
 
@@ -232,7 +242,7 @@ def ruzsa_distance(x: GroupSet, y: GroupSet) -> RuzsaDistance:
     if x.card == 0 or y.card == 0:
         raise EmptySetError("Ruzsa distance needs nonempty sets")
     cross = product(x, inverse(y)).card
-    return RuzsaDistance(cross, x.card, y.card)
+    return RuzsaDistance(cross=cross, nx=x.card, ny=y.card)
 
 
 def ruzsa_triangle_ok(x: GroupSet, y: GroupSet, z: GroupSet) -> bool:
@@ -369,7 +379,7 @@ ALTERNATION_WORDS: list[tuple[str, int, str | None]] = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PlunneckeEntry:
     word: str
     bound_exponent: int
@@ -380,7 +390,7 @@ class PlunneckeEntry:
     measured_exponent: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PlunneckeCertificate:
     mode: str
     k: Fraction
@@ -392,41 +402,39 @@ class PlunneckeCertificate:
 def plunnecke_check(x: GroupSet, mode: str = "tripling") -> PlunneckeCertificate:
     """Verify product-growth bounds for a fixed word list by exact counting.
 
-    In tripling mode k = |X^3|/|X|; in alternation mode k = |X X^-1 X|/|X|.
-    The bounds are theorems, so a failed entry raises TheoremViolationError
-    with a reproducer payload.
+    k is the size of the mode's growth word over |X|: |X^3|/|X| in tripling
+    mode, |X X^-1 X|/|X| in alternation mode.  The bounds are theorems, so a
+    failed entry raises TheoremViolationError with a reproducer payload.
     """
     if x.card == 0:
         raise EmptySetError("plunnecke_check needs a nonempty set")
-    if mode == "tripling":
-        k = Fraction(power(x, 3).card, x.card)
-        words = TRIPLING_WORDS
-    elif mode == "alternation":
-        k = Fraction(eval_word(x, "+-+").card, x.card)
-        words = ALTERNATION_WORDS
-    else:
+    if mode not in GROWTH_WORD:
         raise ValueError(f"unknown mode {mode!r}")
-    word_cache: dict[str, int] = {}
-
-    def size_of(w: str | None) -> int:
-        if w is None:
-            return x.card
-        if w not in word_cache:
-            word_cache[w] = eval_word(x, w).card
-        return word_cache[w]
-
+    table = TRIPLING_WORDS if mode == "tripling" else ALTERNATION_WORDS
+    growth = GROWTH_WORD[mode]
+    # "+" is X itself, the base of an entry whose base word is None.
+    words = eval_words(
+        x, [growth, "+"] + [w for w, _, _ in table] + [b for _, _, b in table if b]
+    )
+    k = Fraction(words[growth].card, x.card)
     entries = []
-    for word, exp, base in words:
-        size = size_of(word)
-        base_size = size_of(base)
+    for word, exp, base in table:
+        size = words[word].card
+        base_size = words[base or "+"].card
         ok = size * k.denominator**exp <= k.numerator**exp * base_size
         measured = None
         if k > 1 and size > x.card:
             measured = math.log(size / x.card) / math.log(float(k))
         entries.append(
-            PlunneckeEntry(word, exp, base, base_size, size, ok, measured)
+            PlunneckeEntry(
+                word=word, bound_exponent=exp, base_word=base, base_size=base_size,
+                size=size, ok=ok, measured_exponent=measured,
+            )
         )
-    cert = PlunneckeCertificate(mode, k, x.card, tuple(entries), all(e.ok for e in entries))
+    cert = PlunneckeCertificate(
+        mode=mode, k=k, base_size=x.card, entries=tuple(entries),
+        all_ok=all(e.ok for e in entries),
+    )
     if not cert.all_ok:
         raise TheoremViolationError(
             "product-growth bound failed (internal inconsistency)",

@@ -29,7 +29,7 @@ DEFAULT_VC_CAP = 6
 VC_STATE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VcResult:
     """value is exact when cap_hit is False, otherwise a lower bound (>= cap)."""
 
@@ -64,9 +64,9 @@ def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
     rows = _distinct_translate_rows(a)
     d_count = len(rows)
     if d_count <= 1:
-        return VcResult(0, False, ())
+        return VcResult(value=0, cap_hit=False, witness=())
     if cap < 1:
-        return VcResult(0, True, ())
+        return VcResult(value=0, cap_hit=True, witness=())
     # Bit-packed copies: extension checks reduce whole byte blocks at once.
     packed_one = np.packbits(rows, axis=1)
     packed_zero = np.packbits(~rows, axis=1)
@@ -77,7 +77,7 @@ def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
     survivors: list[tuple[int, ...]] = [(0,)]
     for level in range(2, cap + 1):
         if d_count < (1 << level):
-            return VcResult(level - 1, False, survivors[0])
+            return VcResult(value=level - 1, cap_hit=False, witness=survivors[0])
         new_survivors: list[tuple[int, ...]] = []
         for x in survivors:
             pat = cols[:, x[0]].copy()
@@ -103,15 +103,15 @@ def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
                         f" containing the identity at level {level}"
                     )
         if not new_survivors:
-            return VcResult(level - 1, False, survivors[0])
+            return VcResult(value=level - 1, cap_hit=False, witness=survivors[0])
         survivors = new_survivors
-    return VcResult(cap, True, survivors[0])
+    return VcResult(value=cap, cap_hit=True, witness=survivors[0])
 
 
 # --- stabilizers -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StabilizerProfile:
     base: GroupSet = field(metadata=as_key("set_digest", digest))
     epsilon: Fraction
@@ -139,7 +139,9 @@ def stabilizer(a: GroupSet, epsilon: Fraction, side: str = "left") -> Stabilizer
         raise PreconditionError("epsilon must be nonnegative")
     n = a.group.order
     stab = stabilizer_by_threshold(a, epsilon.numerator * n // epsilon.denominator, side)
-    return StabilizerProfile(a, epsilon, stab, side, Fraction(stab.card, n))
+    return StabilizerProfile(
+        base=a, epsilon=epsilon, stabilizer=stab, side=side, density=Fraction(stab.card, n)
+    )
 
 
 # --- packing bound --------------------------------------------------------------

@@ -280,7 +280,7 @@ def levelwise_vc_dimension(a: GroupSet, cap: int) -> VcResult:
     members = set(a)
     translates = {frozenset(g.mul(t, x) for x in members) for t in range(n)}
     if len(translates) <= 1:
-        return VcResult(0, False, ())
+        return VcResult(value=0, cap_hit=False, witness=())
 
     def shattered(x) -> bool:
         return len({tuple(e in tr for e in x) for tr in translates}) == 1 << len(x)
@@ -295,10 +295,10 @@ def levelwise_vc_dimension(a: GroupSet, cap: int) -> VcResult:
             if shattered(x + (w,))
         ]
         if not fresh:
-            return VcResult(level - 1, False, witness)
+            return VcResult(value=level - 1, cap_hit=False, witness=witness)
         survivors = fresh
         witness = survivors[0]
-    return VcResult(cap, True, witness)
+    return VcResult(value=cap, cap_hit=True, witness=witness)
 
 
 def random_loop(g: Group, r: SplitRng, swaps: int = 3) -> np.ndarray:

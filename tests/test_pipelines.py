@@ -49,7 +49,7 @@ class TestModeSets:
     def test_alternation_sets(self, d6):
         r = rng("modesets")
         a = random_nonempty(d6, r, F(1, 3))
-        ms = mode_sets(a, "alternation", m=3)
+        ms = mode_sets(a, "alternation")
         assert set(ms.v) == brute_word(d6, list(a), "+-")
         assert set(ms.w) == brute_word(d6, list(a), "+-+-")
         assert ms.w.is_symmetric and 0 in ms.w
@@ -57,7 +57,7 @@ class TestModeSets:
     def test_tripling_sets(self, d6):
         r = rng("modesets2")
         a = random_nonempty(d6, r, F(1, 3))
-        ms = mode_sets(a, "tripling", m=3)
+        ms = mode_sets(a, "tripling")
         expect_w = (
             brute_word(d6, list(a), "+-+-")
             & brute_word(d6, list(a), "++--")
@@ -431,7 +431,7 @@ class TestRegularityPipeline:
 class TestSaturation:
     def test_whole_group(self, d6):
         g_all = GroupSet.full(d6)
-        rep = dense_saturation_check(d6, g_all, g_all, g_all)
+        rep = dense_saturation_check(g_all, g_all, g_all)
         assert all(rep.equalities.values())
 
     def test_a5_with_fifty_elements(self):
@@ -441,14 +441,20 @@ class TestSaturation:
         r = rng("saturation")
         removed = r.sample(range(60), 10)
         a = GroupSet.from_indices(a5, [x for x in range(60) if x not in removed])
-        rep = dense_saturation_check(a5, a)
+        rep = dense_saturation_check(a)
         # sizes must match an independent brute-force product computation
         assert rep.sizes["(AA^-1)^2"] == len(brute_word(a5, list(a), "+-+-"))
         assert rep.equalities["(AA^-1)^2"] == (
             len(brute_word(a5, list(a), "+-+-")) == 60
         )
 
+    def test_group_is_read_from_the_set(self):
+        c6 = cyclic_group(6)
+        rep = dense_saturation_check(GroupSet.full(c6))
+        assert (rep.group_label, rep.group_order) == (c6.label, 6)
+        assert all(rep.equalities.values())
+
     def test_sparse_interval_fails_saturation(self):
         c7 = cyclic_group(7)
-        rep = dense_saturation_check(c7, GroupSet.from_indices(c7, [0, 1]))
+        rep = dense_saturation_check(GroupSet.from_indices(c7, [0, 1]))
         assert not rep.equalities["(AA^-1)^2"]

@@ -112,12 +112,12 @@ class TestAnchoredSearch:
 
     def test_cap_zero_on_a_proper_set(self, s4):
         a = GroupSet.from_indices(s4, [1, 2, 5])
-        assert vc_dimension(a, cap=0) == VcResult(0, True, ())
+        assert vc_dimension(a, cap=0) == VcResult(value=0, cap_hit=True, witness=())
 
     @pytest.mark.parametrize("cap", [0, 1, 3])
     def test_empty_and_full_sets(self, d6, cap):
         for a in (GroupSet.empty(d6), GroupSet.full(d6)):
-            assert vc_dimension(a, cap) == VcResult(0, False, ())
+            assert vc_dimension(a, cap) == VcResult(value=0, cap_hit=False, witness=())
 
     def test_nonempty_witnesses_contain_the_identity(self):
         r = rng("vc-anchor-witness")
