@@ -10,6 +10,9 @@ import numpy as np
 
 # Cap on the cells of one translate-row block; keeps peak memory modest.
 _CHUNK_CELLS = 1 << 23
+# Cells of the first block of a product's translate gather; later blocks
+# double.  Groups of order up to 91 gather every product in one block.
+_FIRST_BLOCK_CELLS = 1 << 12
 
 
 def mask_to_bools(mask: int, n: int) -> np.ndarray:
@@ -53,20 +56,33 @@ def translate_rows(group, bits: np.ndarray, elems: np.ndarray):
 
 
 def product_mask(group, xmask: int, ymask: int) -> int:
-    """Exact product set XY: the union of the left translates xY over the
-    smaller operand.  When |X| > |Y| it is the inverse of Y^-1 X^-1, the
-    union of the translates y^-1 X^-1, so right translates are never
-    gathered."""
+    """Exact product set XY, in any group.
+
+    z is in XY iff X meets zY^-1, a set of |Y| elements, so XY = G when
+    |X| + |Y| > |G| (pigeonhole).  Otherwise XY is the union of the left
+    translates xY over the smaller operand; when |X| > |Y| it is the inverse
+    of Y^-1 X^-1, so right translates are never gathered.  The translates
+    are gathered in blocks that double in size, the first of
+    max(1, _FIRST_BLOCK_CELLS // |G|) rows, and the gather stops once the
+    union is G.  A product that fills G then costs about log2 |G| rows, and
+    none costs more rows than the smaller operand's size."""
     if xmask == 0 or ymask == 0:
         return 0
     n = group.order
+    xcard, ycard = xmask.bit_count(), ymask.bit_count()
+    if xcard + ycard > n:
+        return (1 << n) - 1
     xbits, ybits = mask_to_bools(xmask, n), mask_to_bools(ymask, n)
-    flip = xmask.bit_count() > ymask.bit_count()
+    flip = xcard > ycard
     if flip:
         xbits, ybits = ybits[group.inv], xbits[group.inv]
+    xs = np.flatnonzero(xbits)
     out = np.zeros(n, dtype=bool)
-    for _, rows in translate_rows(group, ybits, np.flatnonzero(xbits)):
-        out |= rows.any(axis=0)
+    start, size = 0, max(1, _FIRST_BLOCK_CELLS // n)
+    while start < len(xs) and not out.all():
+        for _, rows in translate_rows(group, ybits, xs[start : start + size]):
+            out |= rows.any(axis=0)
+        start, size = start + size, 2 * size
     return bools_to_mask(out[group.inv] if flip else out)
 
 

@@ -208,18 +208,19 @@ def _cs_target(
     signs: str,
     letters: dict[str, GroupSet],
     ms: ModeSets,
+    ell: Fraction,
     v2: GroupSet,
     n_pow: int,
     strategy: str,
     rng: SplitRng,
 ) -> CSTargetTrace:
     """Walk the t-ladder t <- t^2/(2 ell) of one word of the mode until some
-    Y* in V^2 has its n_pow-th power inside the word.  B is drawn from the
-    set of the word's first letter (X for "+", X^-1 for "-") to keep |BZ|
-    small, where Z is the set of its second letter."""
+    Y* in V^2 has its n_pow-th power inside the word, where ell = |VX|/|X|
+    for the set X of the word's first letter (X for "+", X^-1 for "-").  B
+    is drawn from that set to keep |BZ| small, where Z is the set of the
+    word's second letter."""
     x, z, w = letters[signs[0]], letters[signs[1]], ms.words[signs]
     card = x.card
-    ell = Fraction(product(ms.v, x).card, card)
     t = Fraction(1)
     t_min = Fraction(1, card)
     ladder: list[tuple[Fraction, Fraction]] = []
@@ -270,11 +271,23 @@ def croot_sisask(
     v2 = product(ms.v, ms.v)
     alternation = mode == "alternation"
     n_pow = n if alternation else 4 * n
+    words = MODE_WORDS[mode]
+    ells = {
+        s: Fraction(product(ms.v, letters[s]).card, x.card) for s in sorted({w[0] for w in words})
+    }
     targets = tuple(
         _cs_target(
-            "alt" if alternation else f"pi{i}", signs, letters, ms, v2, n_pow, strategy, rng
+            "alt" if alternation else f"pi{i}",
+            signs,
+            letters,
+            ms,
+            ells[signs[0]],
+            v2,
+            n_pow,
+            strategy,
+            rng,
         )
-        for i, signs in enumerate(MODE_WORDS[mode], 1)
+        for i, signs in enumerate(words, 1)
     )
     if not all(t.accepted for t in targets):
         y = GroupSet(g, 1)

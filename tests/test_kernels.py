@@ -12,10 +12,18 @@ is a left-hand one conjugated by inversion, Sg = (g^-1 S^-1)^-1: products
 XY with |X| > |Y|, right stabilizers, right translates and right cosets.
 TestRightHandPaths checks each against a plain loop on abelian and
 nonabelian groups.
+
+product_mask answers XY = G when |X| + |Y| > |G| without a gather, and
+otherwise gathers the translates xY in blocks that double in size until the
+union is G or every translate is in.  TestProductGathers checks it against
+brute_product at and around that bound, on sparse-by-dense pairs in both
+orders, at the default block bounds and with one-row first blocks and small
+translate-row blocks; the work pins count the rows it gathers.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction as F
 from unittest import mock
 
@@ -25,12 +33,14 @@ from hypothesis import given, settings, strategies as st
 
 from ablab import (
     GroupSet,
+    build_group,
     covering_number,
     croot_sisask,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
     enumerate_subgroups,
+    parse_group_spec,
     product,
     right_translate,
     symmetric_group,
@@ -210,6 +220,171 @@ class TestRightHandPaths:
                     covered |= coset
                     want.append((x, coset))
             assert [(x, set(GroupSet(g, m))) for x, m in got] == want
+
+
+PRODUCT_SPECS = [
+    "cyclic:12",
+    "ea:2^5",
+    "dihedral:6",
+    "sym:4",
+    "alt:5",
+    "prod:cyclic:2+sym:3",
+    "cyclic:256",
+    "ea:2^8",
+    "dihedral:64",
+]
+PRODUCT_ZOO = {spec: build_group(parse_group_spec(spec)) for spec in PRODUCT_SPECS}
+
+
+def product_blocks(g, first_row: bool, rows: int | None):
+    """With first_row, a product's first translate block is one row, so the
+    doubling blocks and their early stop run in groups of every order; with
+    rows, every translate-row gather is bounded to that many rows per block."""
+    stack = ExitStack()
+    if first_row:
+        stack.enter_context(mock.patch.object(kernels, "_FIRST_BLOCK_CELLS", g.order))
+    if rows:
+        stack.enter_context(small_blocks(g, rows))
+    return stack
+
+
+def avoiding(g, ys, z) -> list[int]:
+    """The elements outside zY^-1: a set X drawn from them has z outside XY."""
+    avoid = {g.mul(z, g.invert(y)) for y in ys}
+    return [e for e in range(g.order) if e not in avoid]
+
+
+def product_cases(g, label: str):
+    """Pairs (X, Y) with |X| + |Y| from |G| - 2 to |G| + 1, random or with X
+    outside some zY^-1, and sparse-by-dense pairs; each in both orders."""
+    r = rng(label)
+    n = g.order
+    pairs = []
+    for total in range(n - 2, n + 2):
+        for _ in range(3):
+            ky = r.randint(max(1, total - n), min(n, total - 1))
+            ys = r.sample(range(n), ky)
+            pairs.append((r.sample(range(n), total - ky), ys))
+            if total <= n:
+                pairs.append((r.sample(avoiding(g, ys, r.randint(0, n - 1)), total - ky), ys))
+    for _ in range(4):
+        ys = r.sample(range(n), r.randint(n // 2, n - 4))
+        pairs.append((r.sample(range(n), r.randint(1, 3)), ys))
+        pairs.append((r.sample(avoiding(g, ys, r.randint(0, n - 1)), r.randint(1, 3)), ys))
+    for xs, ys in pairs:
+        yield xs, ys
+        yield ys, xs
+
+
+class TestProductGathers:
+    @pytest.mark.parametrize("spec", PRODUCT_SPECS)
+    @pytest.mark.parametrize("first_row", [False, True])
+    @pytest.mark.parametrize("rows", [None, ROWS_PER_BLOCK])
+    def test_product_matches_brute_product(self, spec, first_row, rows):
+        g = PRODUCT_ZOO[spec]
+        for xs, ys in product_cases(g, f"gathers-{spec}"):
+            x, y = GroupSet.from_indices(g, xs), GroupSet.from_indices(g, ys)
+            with product_blocks(g, first_row, rows):
+                got = product(x, y)
+            assert set(got) == brute_product(g, xs, ys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(PRODUCT_SPECS),
+    first_row=st.booleans(),
+    rows=st.sampled_from([None, 1, 2, 3, 4]),
+    data=st.data(),
+)
+def test_products_of_drawn_densities_match_brute_force(spec, first_row, rows, data):
+    # Drawn sizes, not uniform masks: a uniform mask is dense with |X| + |Y|
+    # near |G|, and almost never sparse or just short of the pigeonhole bound.
+    g = PRODUCT_ZOO[spec]
+    n = g.order
+    shuffle = data.draw(st.randoms(use_true_random=False))
+    ky = data.draw(st.integers(0, n))
+    near = st.integers(max(0, n - ky - 2), min(n, n - ky + 1))
+    kx = data.draw(st.one_of(st.integers(0, n), near))
+    ys = shuffle.sample(range(n), ky)
+    pool = range(n)
+    if 0 < ky and kx <= n - ky and data.draw(st.booleans()):
+        pool = avoiding(g, ys, shuffle.randrange(n))
+    xs = shuffle.sample(pool, kx)
+    x, y = GroupSet.from_indices(g, xs), GroupSet.from_indices(g, ys)
+    with product_blocks(g, first_row, rows):
+        xy, yx = product(x, y), product(y, x)
+    assert set(xy) == brute_product(g, xs, ys)
+    assert set(yx) == brute_product(g, ys, xs)
+
+
+@contextmanager
+def counting_rows():
+    """Count the translate rows that every kernels.translate_rows call
+    yields."""
+    counted = [0]
+    original = kernels.translate_rows
+
+    def wrapper(group, bits, elems):
+        for block, rows in original(group, bits, elems):
+            counted[0] += len(block)
+            yield block, rows
+
+    with mock.patch.object(kernels, "translate_rows", wrapper):
+        yield counted
+
+
+class TestProductWork:
+    @pytest.mark.parametrize("spec", PRODUCT_SPECS)
+    def test_pigeonhole_gathers_no_row(self, spec):
+        g = PRODUCT_ZOO[spec]
+        n = g.order
+        r = rng(f"pigeonhole-{spec}")
+        for total in (n + 1, n + 2, 2 * n):
+            ky = r.randint(total - n, n)
+            x = GroupSet.from_indices(g, r.sample(range(n), total - ky))
+            y = GroupSet.from_indices(g, r.sample(range(n), ky))
+            with counting_rows() as counted:
+                assert product(x, y) == product(y, x) == GroupSet.full(g)
+            assert counted == [0]
+
+    @pytest.mark.parametrize("spec", ["ea:2^12", "cyclic:4096"])
+    def test_dense_product_filling_the_group(self, spec):
+        # |X| + |Y| = |G|, so the pigeonhole bound does not apply; the
+        # primal gather alone would take 2048 rows.
+        g = build_group(parse_group_spec(spec))
+        n = g.order
+        r = rng(f"dense-{spec}")
+        xs, ys = r.sample(range(n), n // 2), r.sample(range(n), n // 2)
+        assert np.unique(g.mult[np.ix_(xs, ys)]).size == n
+        x, y = GroupSet.from_indices(g, xs), GroupSet.from_indices(g, ys)
+        with counting_rows() as counted:
+            assert product(x, y) == GroupSet.full(g)
+        assert counted[0] <= 64
+
+    def test_index_two_subgroup(self):
+        # HH = H: the union never reaches G, so every translate of H is
+        # gathered.
+        g = build_group(parse_group_spec("ea:2^10"))
+        h = GroupSet(g, g.closure(sum(1 << (1 << i) for i in range(9))))
+        assert h.card == 512
+        with counting_rows() as counted:
+            assert product(h, h) == h
+        assert counted[0] <= 2 * h.card
+
+    @pytest.mark.parametrize("spec", ["cyclic:256", "ea:2^8", "dihedral:64", "alt:5"])
+    def test_sparse_product_gathers_the_smaller_operand(self, spec):
+        g = PRODUCT_ZOO[spec]
+        n = g.order
+        r = rng(f"sparse-{spec}")
+        for kx in (1, 2, 5):
+            ky = (n - 1) // kx
+            x = GroupSet.from_indices(g, r.sample(range(n), kx))
+            y = GroupSet.from_indices(g, r.sample(range(n), ky))
+            for a, b in ((x, y), (y, x)):
+                with counting_rows() as counted:
+                    got = product(a, b)
+                assert set(got) == brute_product(g, set(a), set(b))
+                assert counted == [kx]
 
 
 @settings(max_examples=60, deadline=None)

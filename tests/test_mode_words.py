@@ -25,6 +25,7 @@ from ablab import (
     croot_sisask,
     eval_word,
     eval_words,
+    inverse,
     mode_sets,
     parse_group_spec,
     plunnecke_check,
@@ -33,7 +34,7 @@ from ablab import kernels
 from ablab.pipelines import MODE_WORDS
 from ablab.sets import GROWTH_WORD
 
-from conftest import brute_word, random_nonempty, rng
+from conftest import brute_product, brute_word, random_nonempty, rng
 
 SPECS = ["cyclic:12", "ea:2^4", "dihedral:6", "sym:4", "prod:cyclic:2+sym:3"]
 ZOO = {spec: build_group(parse_group_spec(spec)) for spec in SPECS}
@@ -173,6 +174,22 @@ def test_croot_sisask_forms_v_squared_once(spec, density, mode):
         _, trace = croot_sisask(x, mode, 1)
     assert trace.sets.v.mask == v
     assert sum(1 for _, a, b in products if a == b == v) == 1
+
+
+def test_croot_sisask_forms_ell_once_per_letter():
+    # The tripling words start "+", "+", "-", "-": |VX| and |VX^-1| are each
+    # formed once and shared by the two ladders of their letter.
+    g = ZOO["sym:4"]
+    x = random_nonempty(g, rng("ell-sym:4-tripling"), F(1, 8))
+    xinv = inverse(x)
+    v = mode_sets(x, "tripling").v
+    with counting("product_mask") as products:
+        _, trace = croot_sisask(x, "tripling", 1)
+    assert sum(1 for _, a, b in products if (a, b) == (v.mask, x.mask)) == 1
+    assert sum(1 for _, a, b in products if (a, b) == (v.mask, xinv.mask)) == 1
+    for t, signs in zip(trace.targets, MODE_WORDS["tripling"]):
+        letter = list(x if signs[0] == "+" else xinv)
+        assert t.ell == F(len(brute_product(g, list(v), letter)), x.card)
 
 
 @pytest.mark.parametrize("spec,density", CS_INPUTS)
