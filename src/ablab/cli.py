@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -496,7 +497,9 @@ _NONNEGATIVE = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call; each parse_args starts a fresh namespace."""
     parser = _Parser(
         prog="ablab",
         description="Exact additive-combinatorics laboratory for finite groups.",

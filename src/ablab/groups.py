@@ -41,6 +41,8 @@ UNBOUNDED_ENUMERATION_LIMIT = 512
 SUBGROUP_JOIN_BUDGET = 200_000
 # Table cells hashed at a time by Group.signature.
 _SIGNATURE_BLOCK_CELLS = 1 << 16
+# Table cells compared at a time by the associativity check.
+_TABLE_CHECK_CELLS = 1 << 20
 
 
 def _index_dtype(n: int):
@@ -223,13 +225,17 @@ def _validate_table(g: Group) -> None:
     if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
         raise GroupConstructionError("element 0 is not a two-sided identity")
     full = (1 << g.order) - 1
+    step = max(1, _TABLE_CHECK_CELLS // g.order)
     reached, gens = 1, ()
     while reached != full:
         y = ((reached + 1) & ~reached).bit_length() - 1  # lowest clear bit
-        # (xy)z against x(yz) for all x, z; np.take gathers columns much
-        # faster than fancy indexing table[:, table[y]].
-        if not np.array_equal(table[table[:, y]], np.take(table, table[y], axis=1)):
-            raise GroupConstructionError(f"associativity fails at y={y}")
+        # (xy)z against x(yz) for all x, z, one block of rows x at a time;
+        # np.take gathers columns much faster than fancy indexing.
+        col, row = table[:, y], table[y]
+        for i in range(0, g.order, step):
+            block = slice(i, i + step)
+            if not np.array_equal(table[col[block]], np.take(table[block], row, axis=1)):
+                raise GroupConstructionError(f"associativity fails at y={y}")
         grown = join_mask(g, reached, gens, y)
         if grown.bit_count() < 2 * reached.bit_count():
             raise GroupConstructionError(

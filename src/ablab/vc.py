@@ -1,15 +1,17 @@
 """VC dimension of translate families, epsilon-stabilizers, packing bound.
 
 The VC dimension of a set A in a group is the VC dimension of the family of
-left translates {gA}.  The shattering search is exact: level-by-level over
-candidate base sets, pruning any set with an unshattered prefix.
+left translates {gA}.  The shattering search is exact and depth-first: it
+walks sorted candidate sets in lexicographic order, extends only shattered
+ones, and stops at the cap.  Its budget counts the shattered candidate sets
+found at each depth (its "level" is the set size).
 
 The search is anchored at the identity.  The family is closed under left
 multiplication, since h(gA) = (hg)A, so hx lies in gA iff x lies in
 (h^-1 g)A: the traces of the family on hX are its traces on X.  Hence X is
 shattered iff hX is, every shattered set has a translate x^-1 X that holds
 element 0, and only candidates containing 0 need to be searched.  That
-divides the candidates at every level by about |G|.
+divides the candidates at every depth by about |G|.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .reporting import as_key, digest, jsonable
 from .sets import GroupSet, inverse
 
 DEFAULT_VC_CAP = 6
-# Candidate sets containing the identity one level of the VC search may keep.
+# Shattered candidate sets containing the identity that the VC search may
+# find at one depth.
 VC_STATE_BUDGET = 2_000_000
 
 
@@ -39,73 +42,89 @@ class VcResult:
 
 
 def _distinct_translate_rows(a: GroupSet) -> np.ndarray:
+    """The distinct translates gA as rows of 64-bit words, bit-packed as each
+    block is gathered and deduplicated as one void value each."""
     n = a.group.order
-    rows = np.empty((n, n), dtype=bool)
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
     for block, r in kernels.translate_rows(a.group, a.bools, np.arange(n)):
-        rows[block] = r
-        del r  # free the block before the next gather and np.unique
-    return np.unique(rows, axis=0)
+        packed[block, : (n + 7) // 8] = np.packbits(r, axis=1)
+        del r  # free the block before the next gather
+    rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))))
+    return rows.view(np.uint64).reshape(len(rows), -1)
 
 
 def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
     """Largest d <= cap such that some d-element set is shattered by {gA}.
 
-    Exact level-wise search over candidate sets that contain the identity:
-    a candidate is only extended if it is itself shattered, and extensions
-    are vectorized over all new points at once.  Restricting to the identity
-    loses nothing, because X is shattered iff hX is (module docstring), and
-    the witness is unchanged: candidates are sorted tuples in lexicographic
-    order, and the lexicographically smallest shattered set contains 0.
-    FeasibilityError when one level keeps more than VC_STATE_BUDGET
-    candidate sets.
+    Depth-first search over sorted tuples that start at (0,), in preorder,
+    which is lexicographic order: the first tuple reached at each length is
+    the smallest shattered one, and the smallest shattered set of each
+    length contains 0 (module docstring).  Shattering is hereditary, so only
+    shattered tuples are extended, and only by their later siblings.  A
+    subtree is skipped when it cannot beat the longest tuple found: a tuple
+    of length k inside a shattered set of length l splits the rows into 2^k
+    classes of at least 2^(l-k) rows each.  The search returns as soon as it
+    reaches min(cap, floor(log2 r)), r the number of distinct translates.
+    FeasibilityError when more than VC_STATE_BUDGET shattered candidate sets
+    are found at one depth.
     """
-    g = a.group
-    n = g.order
+    n = a.group.order
     rows = _distinct_translate_rows(a)
-    d_count = len(rows)
-    if d_count <= 1:
-        return VcResult(value=0, cap_hit=False, witness=())
-    if cap < 1:
-        return VcResult(value=0, cap_hit=True, witness=())
-    # Bit-packed copies: extension checks reduce whole byte blocks at once.
-    packed_one = np.packbits(rows, axis=1)
-    packed_zero = np.packbits(~rows, axis=1)
-    cols = rows.astype(np.int8)  # column reads without per-survivor casts
-    nbytes = packed_one.shape[1]
+    if len(rows) <= 1 or cap < 1:
+        return VcResult(value=0, cap_hit=len(rows) > 1, witness=())
+    top = min(cap, len(rows).bit_length() - 1)  # 2^d traces need 2^d rows
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n)  # bits[i, w]: is w in translate i
     # {0} is shattered: A is neither empty nor all of G, so some translate
     # holds the identity and some does not.
-    survivors: list[tuple[int, ...]] = [(0,)]
-    for level in range(2, cap + 1):
-        if d_count < (1 << level):
-            return VcResult(value=level - 1, cap_hit=False, witness=survivors[0])
-        new_survivors: list[tuple[int, ...]] = []
-        for x in survivors:
-            pat = cols[:, x[0]].copy()
-            for i, c in enumerate(x[1:], 1):
-                pat |= cols[:, c] << i
-            # Most restrictive (smallest) class first: dead extensions
-            # short-circuit after one or two reductions.
-            sizes = np.bincount(pat, minlength=1 << len(x))
-            okp = np.full(nbytes, 0xFF, dtype=np.uint8)
-            for p in np.argsort(sizes, kind="stable"):
-                sel = pat == p
-                okp &= np.bitwise_or.reduce(packed_one[sel], axis=0)
-                okp &= np.bitwise_or.reduce(packed_zero[sel], axis=0)
-                if not okp.any():
-                    break  # no extension of x is shattered
-            else:
-                ok = np.unpackbits(okp, count=n).astype(bool)
-                ok[: x[-1] + 1] = False
-                new_survivors.extend(x + (int(w),) for w in np.flatnonzero(ok))
-                if len(new_survivors) > VC_STATE_BUDGET:
-                    raise FeasibilityError(
-                        f"shattering search exceeded {VC_STATE_BUDGET} candidate sets"
-                        f" containing the identity at level {level}"
-                    )
-        if not new_survivors:
-            return VcResult(value=level - 1, cap_hit=False, witness=survivors[0])
-        survivors = new_survivors
-    return VcResult(value=cap, cap_hit=True, witness=survivors[0])
+    best, found = (0,), [0] * (top + 1)
+
+    def extend(x: tuple[int, ...], pat: np.ndarray, cand: np.ndarray) -> bool:
+        """Search below the shattered tuple x, whose traces pat classify the
+        rows, extending it by points of cand; True once a tuple of length
+        top is reached."""
+        nonlocal best
+        k = len(x)
+        sizes = np.bincount(pat, minlength=1 << k)
+        if sizes.min() < 1 << (len(best) + 1 - k):
+            return False  # no shattered superset of x is longer than best
+        # x + (w,) is shattered iff every class holds rows with and without
+        # w: reduce each class, one run of the sorted rows, over all w.
+        order = np.argsort(pat, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        block = rows[order]
+        mixed = np.bitwise_or.reduceat(block, starts) & ~np.bitwise_and.reduceat(block, starts)
+        ok = np.unpackbits(np.bitwise_and.reduce(mixed).view(np.uint8), count=n).view(bool)
+        # Every shattered x + (w,) counts, searched or not.
+        found[k + 1] += int(np.count_nonzero(ok[x[-1] + 1 :]))
+        if found[k + 1] > VC_STATE_BUDGET:
+            raise FeasibilityError(
+                f"shattering search exceeded {VC_STATE_BUDGET} candidate sets"
+                f" containing the identity at level {k + 1}"
+            )
+        kids = cand[ok[cand]]
+        if len(best) == k and len(kids):
+            best = x + (int(kids[0]),)
+            if k + 1 == top:
+                return True
+        # A child longer than best needs 2^(len(best)-k) rows in each of its
+        # classes, the halves of x's classes.  Screen the kids on the small
+        # classes, where most fail; the check on entry covers the others.
+        need = 1 << (len(best) - k)
+        for p in np.argsort(sizes, kind="stable") if need > 1 else ():
+            if sizes[p] >= 8 * need:
+                break
+            ones = bits[order[starts[p] : starts[p] + sizes[p], None], kids].sum(axis=0)
+            kids = kids[(ones >= need) & (ones <= sizes[p] - need)]
+            if not len(kids):
+                return False
+        for i, w in enumerate(kids):
+            if extend(x + (int(w),), pat | bits[:, w].astype(np.intp) << k, kids[i + 1 :]):
+                return True
+        return False
+
+    if top > 1:
+        extend((0,), bits[:, 0].astype(np.intp), np.arange(1, n))
+    return VcResult(value=len(best), cap_hit=len(best) == cap, witness=best)
 
 
 # --- stabilizers -------------------------------------------------------------

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ablab.cli import main
+from ablab.cli import build_parser, main
 from ablab.sets import parse_set_spec
 from ablab.groups import build_group, parse_group_spec
 
@@ -136,6 +136,28 @@ class TestParsing:
         assert run(["group", "--group", "ea:2^8", "--size-budget", "16", "--out", out]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("ablab: error:")
+
+    def test_reused_parser_restores_defaults(self, capsys):
+        argv = ["diagnose", "--group", "ea:2^4", "--set", "elems:[0,1,2,3,8,9,11,12]"]
+        assert run(argv + ["--vc-cap", "2"]) == 0
+        capped = json.loads(capsys.readouterr().out)["vc"]
+        assert (capped["vc_dim"], capped["cap_hit"]) == (2, True)
+        assert run(argv) == 0
+        default = json.loads(capsys.readouterr().out)["vc"]
+        assert (default["vc_dim"], default["cap_hit"]) == (3, False)
+        assert build_parser() is build_parser()
+        assert build_parser().parse_args(argv).vc_cap == 6
+
+    def test_bad_option_after_a_good_call_exits_2_with_one_line(self, capsys):
+        argv = ["diagnose", "--group", "cyclic:8", "--set", "interval:0..2"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + ["--vc-cap", "x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("ablab: parse error:")
+        assert run(["saturation", "--group=--", "--set", "elems:[0]"]) == 2
+        assert capsys.readouterr().err == "ablab: parse error: --group needs a value\n"
 
     def test_group_spec_round_trip(self):
         for text in ["cyclic:8", "ea:2^6", "dihedral:4", "sym:4", "alt:5", "prod:cyclic:2+ea:2^2"]:

@@ -231,6 +231,25 @@ class TestAssociativityCheck:
                     Group(t, "loop")
         assert broken >= 10  # the loops do exercise the failing branch
 
+    @pytest.mark.parametrize("cells", [1, 40])
+    def test_row_blocks_keep_the_check_exact(self, monkeypatch, cells):
+        # One row per block, or blocks of 2 and 3 rows that leave a tail.
+        monkeypatch.setattr(ablab.groups, "_TABLE_CHECK_CELLS", cells)
+        for spec in ("ea:2^4", "dihedral:6"):
+            g = build_group(parse_group_spec(spec))
+            Group(g.mult, "copy")
+            r = rng(f"loop-blocks-{spec}-{cells}")
+            broken = 0
+            for trial in range(12):
+                t = random_loop(g, r, swaps=1 + trial % 3)
+                if brute_associative(t):
+                    Group(t, "loop")
+                else:
+                    broken += 1
+                    with pytest.raises(GroupConstructionError, match="associativity"):
+                        Group(t, "loop")
+            assert broken >= 8
+
 
 class TestExactCheckAboveOrder512:
     """The table check stays exact on orders that were once sampled."""

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -9,16 +10,19 @@ from ablab import (
     GroupSet,
     PreconditionError,
     alternating_group,
+    build_group,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
     haussler_check,
+    parse_group_spec,
     stabilizer,
     subgroup_from_indices,
     symmetric_group,
     vc_dimension,
 )
 from ablab.cli import main
+from ablab.sets import parse_set_spec
 from ablab.vc import VcResult, stabilizer_by_threshold
 
 from conftest import (
@@ -39,6 +43,16 @@ ZOO = {
     "alt:4": alternating_group(4),
 }
 STAB_ZOO = {"cyclic:8": cyclic_group(8), "sym:4": ZOO["sym:4"], "ea:2^4": ZOO["ea:2^4"]}
+DENSE_EA10 = ["diagnose", "--group", "ea:2^10", "--set", "random:density=1/2,seed=1"]
+
+
+def shattered_by_translates(g, members, witness) -> bool:
+    """Plain-Python check: the translates tA cut 2^|witness| traces on witness."""
+    members = set(members)
+    traces = {
+        tuple(g.mul(g.invert(t), x) in members for x in witness) for t in range(g.order)
+    }
+    return len(traces) == 1 << len(witness)
 
 
 class TestVcDimension:
@@ -96,8 +110,13 @@ class TestAnchoredSearch:
         for density in (F(1, 4), F(1, 2), F(2, 3)):
             for _ in range(3):
                 a = random_nonempty(g, r, density)
-                for cap in range(5):
-                    assert vc_dimension(a, cap) == levelwise_vc_dimension(a, cap)
+                translates = {frozenset(g.mul(t, x) for x in a) for t in range(g.order)}
+                assert len(ablab.vc._distinct_translate_rows(a)) == len(translates)
+                for cap in range(6):
+                    mine = vc_dimension(a, cap)
+                    assert mine == levelwise_vc_dimension(a, cap)
+                    assert shattered_by_translates(g, a, mine.witness)
+                assert mine.value == naive_vc_dimension(a, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -146,6 +165,43 @@ class TestAnchoredSearch:
             "ablab: budget/cap exhausted: shattering search exceeded 10"
             " candidate sets containing the identity at level 2"
         ]
+
+
+class TestDepthFirstSearch:
+    """Inputs on which the level-wise search exits 3 or its patterns wrap."""
+
+    def test_dense_ea10_answers_at_the_default_cap(self, capsys):
+        # The level-wise search kept over 2,000,000 sets at level 4 here.
+        assert main(DENSE_EA10) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["vc"]["vc_dim"] == 6 and report["vc"]["cap_hit"]
+        g = build_group(parse_group_spec("ea:2^10"))
+        witness = report["vc"]["witness"]
+        assert len(witness) == 6 and witness[0] == 0
+        assert shattered_by_translates(g, parse_set_spec(g, DENSE_EA10[-1]), witness)
+
+    @pytest.mark.parametrize("cap", ["9", "10"])
+    def test_dense_ea10_at_high_caps_exits_cleanly(self, capsys, cap):
+        assert main(DENSE_EA10 + ["--vc-cap", cap]) in (0, 3)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap", [9, 10])
+    def test_de_bruijn_set_is_searched_past_a_byte_of_pattern(self, cap):
+        # The translates of a de Bruijn sequence of order 9 in cyclic(512)
+        # cut every pattern on {0, ..., 8}: tuples of length 8 are extended,
+        # with class patterns of 9 bits.
+        seq = [0] * 9
+        windows = {tuple(seq)}
+        while len(windows) < 512:
+            bit = 1 if tuple(seq[-8:] + [1]) not in windows else 0
+            seq.append(bit)
+            windows.add(tuple(seq[-9:]))
+        seq = seq[:512]
+        assert len({tuple((seq + seq)[i : i + 9]) for i in range(512)}) == 512
+        a = GroupSet.from_indices(cyclic_group(512), [i for i, b in enumerate(seq) if b])
+        want = VcResult(value=9, cap_hit=cap == 9, witness=tuple(range(9)))
+        assert vc_dimension(a, cap) == want
 
 
 class TestStabilizer:
