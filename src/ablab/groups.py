@@ -35,7 +35,7 @@ from .kernels import (
 )
 
 DEFAULT_SIZE_BUDGET = 4096
-# Largest order whose subgroups are searched exhaustively.
+# Largest ambient order in which the subgroup oracle searches exhaustively.
 UNBOUNDED_ENUMERATION_LIMIT = 512
 # Coset joins one subgroup search may compute before it gives up.
 SUBGROUP_JOIN_BUDGET = 200_000
@@ -760,16 +760,10 @@ def enumerate_subgroups(
     """All subgroups (optionally restricted to index <= max_index).
 
     The cached lattice of subgroups_inside, which reaches each subgroup
-    once.  max_index does not prune the search: it filters the finished
-    lattice.  Without it, |G| must be at most UNBOUNDED_ENUMERATION_LIMIT;
-    with it, any order is searched under SUBGROUP_JOIN_BUDGET.
+    once, at any order: FeasibilityError once the search exceeds
+    SUBGROUP_JOIN_BUDGET joins.  max_index does not prune the search: it
+    filters the finished lattice.
     """
-    if max_index is None and g.order > UNBOUNDED_ENUMERATION_LIMIT:
-        raise FeasibilityError(
-            f"unbounded enumeration needs |G| <= {UNBOUNDED_ENUMERATION_LIMIT};"
-            " max_index searches the whole lattice under the"
-            f" {SUBGROUP_JOIN_BUDGET}-join budget, then filters it by index"
-        )
     masks = _lattice_masks(g)
     subs = [Subgroup(g, m, verify=False) for m in masks]
     if max_index is not None:

@@ -360,25 +360,33 @@ def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[i
     return sorted(found, key=_largest_first)
 
 
-def subgroup_candidates_inside(
-    w: GroupSet,
-    ambient: Subgroup,
-    heuristic_tries: int = 200,
-    rng: SplitRng | None = None,
-) -> tuple[list[int], str]:
-    """Candidate subgroup masks inside w, largest first, plus the method flag.
-    Exhaustive for ambients of order <= UNBOUNDED_ENUMERATION_LIMIT whose
-    search fits SUBGROUP_JOIN_BUDGET joins; otherwise heuristic_tries seeded
-    closures."""
-    rng = _default_rng(rng, "subgroup-oracle")
-    g = w.group
+def _oracle_region(w: GroupSet, ambient: Subgroup) -> int:
+    """The region mask the subgroup oracle searches, after checking that w
+    contains 0, is symmetric and lies inside the ambient subgroup."""
     if not 0 in w:
         raise PreconditionError("container must contain the identity")
     if not w.is_symmetric:
         raise PreconditionError("container must be symmetric")
     if w.mask & ~ambient.mask:
         raise PreconditionError("container must lie inside the ambient subgroup")
-    region = w.mask & ambient.mask
+    return w.mask
+
+
+def subgroup_candidates_inside(
+    w: GroupSet,
+    ambient: Subgroup,
+    heuristic_tries: int = 200,
+    rng: SplitRng | None = None,
+) -> tuple[list[int], str]:
+    """Candidate subgroup masks inside w, largest first, plus the method
+    flag: "exhaustive" (every subgroup inside w) for ambients of order <=
+    UNBOUNDED_ENUMERATION_LIMIT whose search fits SUBGROUP_JOIN_BUDGET
+    joins, else "heuristic" (the cyclic subgroups, w's symmetry group and
+    heuristic_tries seeded closures).  For the largest one alone,
+    largest_subgroup_inside first tries w itself."""
+    rng = _default_rng(rng, "subgroup-oracle")
+    g = w.group
+    region = _oracle_region(w, ambient)
     if ambient.order <= UNBOUNDED_ENUMERATION_LIMIT:
         try:
             return sorted(subgroups_inside(g, region), key=_largest_first), "exhaustive"
@@ -393,18 +401,31 @@ def largest_subgroup_inside(
     heuristic_tries: int = 200,
     rng: SplitRng | None = None,
 ) -> SubgroupWitness:
-    """Best subgroup of the ambient contained in w.
+    """Largest subgroup of the ambient contained in w, ties broken by the
+    least mask.
 
-    Exhaustive (and provably maximal) when subgroup_candidates_inside can
-    search exhaustively; otherwise a seeded-closure heuristic, flagged as such.
+    method "exhaustive" means proven largest.  For ambients of order <=
+    UNBOUNDED_ENUMERATION_LIMIT, a region closed under products is itself a
+    subgroup (it is finite, symmetric and holds 0), so it is the answer with
+    no search; otherwise it is the first of subgroup_candidates_inside,
+    which is "exhaustive" when the search fits its join budget and
+    "heuristic" (best found by seeded closures) when not.
     """
-    masks, method = subgroup_candidates_inside(w, ambient, heuristic_tries, rng)
-    best = masks[0]
-    sub = Subgroup(w.group, best)
+    g = w.group
+    region = _oracle_region(w, ambient)
+    if (
+        ambient.order <= UNBOUNDED_ENUMERATION_LIMIT
+        and kernels.product_mask(g, region, region) == region
+    ):
+        best, method = region, "exhaustive"
+    else:
+        masks, method = subgroup_candidates_inside(w, ambient, heuristic_tries, rng)
+        best = masks[0]
+    sub = Subgroup(g, best)
     if best & ~w.mask:
         raise TheoremViolationError(
             "oracle returned a subgroup escaping its container",
-            reproducer={"group": w.group.label, "container": sorted(w)},
+            reproducer={"group": g.label, "container": sorted(w)},
         )
     return SubgroupWitness(
         subgroup=sub,

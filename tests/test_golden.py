@@ -54,6 +54,9 @@ CLI_CASES = {
     "bogolyubov_alt6_alternation_proper_ambient": (
         "bogolyubov --group alt:6 --set elems:[0,7,13] --mode alternation"
     ),
+    "bogolyubov_ea7_tripling": (
+        "bogolyubov --group ea:2^7 --set random:density=1/2,seed=1 --mode tripling"
+    ),
     "bogolyubov_ea10_tripling_heuristic": (
         "bogolyubov --group ea:2^10 --set random:density=1/2,seed=1 --mode tripling"
     ),

@@ -96,6 +96,13 @@ def test_cli_lists_the_subgroups_of_cyclic_1024():
     assert sorted(h["order"] for h in payload["subgroups"]) == [2**i for i in range(11)]
 
 
+def test_cli_lists_the_subgroups_of_cyclic_1024_without_max_index():
+    # The join budget alone bounds the search at any order; this one takes 10 joins.
+    code, out, err = run(["group", "--group", "cyclic:1024", "--subgroups"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["subgroup_count"] == 11
+
+
 @pytest.mark.parametrize("nu, k", [("1/100", 480**2.01), ("1/1000", 480**2.001), ("1000", None)])
 def test_regularity_reports_k_beyond_the_float_range(nu, k):
     """k = (30/delta)^d = (30 * 4/eps)^(d + nu), here 480^(2 + nu).  Its

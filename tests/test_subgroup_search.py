@@ -1,25 +1,33 @@
 """groups.subgroups_inside, the one exhaustive subgroup search, against the
 plain-loop oracle naive_subgroups_inside, with and without a cached lattice;
-the lattice sizes of ea(2,k), which are the Galois numbers; and its join
-budget in the library, the subgroup oracle and the CLI."""
+the lattice sizes of ea(2,k), which are the Galois numbers; its join budget
+in the library, the subgroup oracle and the CLI; and the subgroup oracle
+largest_subgroup_inside against the largest naive subgroup, with the work
+it skips when the region is itself a subgroup."""
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ablab.cli
 import ablab.groups
+import ablab.kernels
 from ablab import (
     FeasibilityError,
     GroupSet,
+    PreconditionError,
+    Subgroup,
     bar_closure,
     build_group,
     largest_subgroup_inside,
     parse_group_spec,
+    subgroup_candidates_inside,
 )
 from ablab.cli import main
 from ablab.groups import Group, subgroups_inside
@@ -140,11 +148,23 @@ class TestJoinBudget:
         assert g._lattice is None
 
     def test_oracle_falls_back_to_the_heuristic(self):
+        # sym(4) without element 1, the transposition (0, 1, 3, 2): symmetric,
+        # not a subgroup, and its search needs more than 10 joins.
+        g = uncached("sym:4")
+        region = GroupSet(g, ((1 << g.order) - 1) & ~(1 << 1))
+        witness = largest_subgroup_inside(region, g.whole_subgroup())
+        assert witness.method == "heuristic"
+        assert not witness.subgroup.mask & ~region.mask
+        assert g.closure(witness.subgroup.mask) == witness.subgroup.mask
+
+    def test_oracle_answers_the_whole_group_without_a_join(self, join_calls):
         g = uncached("sym:4")
         whole = GroupSet.full(g)
+        join_calls.clear()
         witness = largest_subgroup_inside(whole, g.whole_subgroup())
-        assert witness.method == "heuristic"
+        assert witness.method == "exhaustive"
         assert witness.subgroup.mask == whole.mask
+        assert join_calls == []
 
     def test_cli_exits_3_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(ablab.cli, "_GROUP_CACHE", {})
@@ -152,3 +172,167 @@ class TestJoinBudget:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("ablab: budget/cap exhausted: subgroup search exceeded 10")
+
+    def test_cli_ea2_10_exits_3_on_the_join_budget(self, capsys, monkeypatch):
+        # The join budget, not the order of ea(2,10), ends its search.
+        monkeypatch.setattr(ablab.cli, "_GROUP_CACHE", {})
+        assert main(["group", "--group", "ea:2^10", "--subgroups"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("ablab: budget/cap exhausted: subgroup search exceeded 10")
+
+
+# --- the subgroup oracle ---------------------------------------------------------
+
+ORACLE_SPECS = [spec for spec in SPECS if spec != "dihedral:64"]
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Patch kernels.<name> where the library reads it; return the list of
+    calls made from then on.  Building a group joins (its table check), so
+    tests clear the list after building theirs."""
+    calls = []
+    real = getattr(ablab.kernels, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    for module in (ablab.kernels, ablab.groups):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def join_calls(monkeypatch) -> list:
+    return _counting(monkeypatch, "join_mask")
+
+
+@pytest.fixture
+def product_calls(monkeypatch) -> list:
+    return _counting(monkeypatch, "product_mask")
+
+
+def mask_of(elems) -> int:
+    return sum(1 << i for i in elems)
+
+
+@cache
+def naive_lattice(spec: str) -> tuple[int, ...]:
+    """Masks of every subgroup of the zoo group, by (order, mask)."""
+    g = ZOO[spec]
+    found = naive_subgroups_inside(g, set(range(g.order)))
+    return tuple(sorted(map(mask_of, found), key=lambda m: (m.bit_count(), m)))
+
+
+def naive_largest(g: Group, region: int) -> int:
+    """The largest subgroup inside the region; among those, the least mask."""
+    wset = {i for i in range(g.order) if region >> i & 1}
+    masks = map(mask_of, naive_subgroups_inside(g, wset))
+    return min(masks, key=lambda m: (-m.bit_count(), m))
+
+
+def oracle_cases(spec: str) -> list[tuple[int, int]]:
+    """(region, ambient) masks.  The ambients are G and a largest proper
+    subgroup sigma; in each, the regions are the ambient, every subgroup of
+    it, the union of its two least nontrivial subgroups (never a subgroup)
+    and random symmetric regions."""
+    g = ZOO[spec]
+    lattice = naive_lattice(spec)
+    r = rng(f"oracle-{spec}")
+    cases = []
+    for ambient in (lattice[-1], lattice[-2]):
+        inside = [h for h in lattice if not h & ~ambient]
+        cases += [(h, ambient) for h in inside]
+        if len(inside) > 3:
+            cases.append((inside[1] | inside[2], ambient))
+        for density in (F(1, 3), F(1, 2), F(2, 3)):
+            raw = r.subset_mask(g.order, density) & ambient
+            cases.append((bar_closure(GroupSet(g, raw)).mask, ambient))
+    return cases
+
+
+def check_oracle(g: Group, region: int, ambient: int) -> None:
+    witness = largest_subgroup_inside(GroupSet(g, region), Subgroup(g, ambient))
+    assert witness.method == "exhaustive"
+    assert witness.subgroup.mask == naive_largest(g, region)
+    assert witness.index == ambient.bit_count() // witness.subgroup.order
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_oracle_matches_naive_largest(spec):
+    cases = oracle_cases(spec)
+    for region, ambient in cases:
+        check_oracle(uncached(spec), region, ambient)
+    # Both kinds of region occur: subgroups, answered by the product check,
+    # and regions that are not, answered by the search.
+    g = ZOO[spec]
+    assert {naive_largest(g, region) == region for region, _ in cases} == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(ORACLE_SPECS),
+    bits=st.integers(min_value=0),
+    proper=st.booleans(),
+    close=st.booleans(),
+)
+def test_property_oracle_matches_naive_largest(spec, bits, proper, close):
+    g = uncached(spec)
+    lattice = naive_lattice(spec)
+    ambient = lattice[-2] if proper else lattice[-1]
+    region = bar_closure(GroupSet(g, bits & ambient)).mask
+    if close:
+        region = g.closure(region)
+    check_oracle(g, region, ambient)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_subgroup_region_needs_no_join_and_no_lattice(spec, join_calls):
+    lattice = naive_lattice(spec)
+    for h in (lattice[-1], lattice[-2], lattice[1]):
+        g = uncached(spec)
+        join_calls.clear()
+        witness = largest_subgroup_inside(GroupSet(g, h), g.whole_subgroup())
+        assert (witness.method, witness.subgroup.mask) == ("exhaustive", h)
+        assert join_calls == []
+        assert g._lattice is None
+
+
+class TestOraclePreconditions:
+    """Each container breaks the named condition and every later one, so
+    the checks must run in order; they run before any product."""
+
+    @staticmethod
+    def _cases():
+        g = uncached("sym:4")
+        alt4 = Subgroup(g, naive_lattice("sym:4")[-2])
+        assert alt4.order == 12
+        # Element 1 is a transposition, odd and its own inverse; y is the
+        # least 4-cycle, odd and not its own inverse.
+        y = next(x for x in range(g.order) if g.cyclic_masks()[x].bit_count() == 4)
+        return [
+            (GroupSet(g, 1 << y), alt4, "container must contain the identity"),
+            (GroupSet(g, 1 | 1 << y), alt4, "container must be symmetric"),
+            (GroupSet(g, 0b11), alt4, "container must lie inside the ambient subgroup"),
+        ]
+
+    @pytest.mark.parametrize("oracle", [largest_subgroup_inside, subgroup_candidates_inside])
+    def test_messages_and_order(self, oracle, product_calls):
+        cases = self._cases()
+        product_calls.clear()
+        for w, ambient, message in cases:
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+                oracle(w, ambient)
+        assert product_calls == []
+
+
+def test_cli_ea2_8_tripling_is_answered_exhaustively(capsys, monkeypatch):
+    # The region is all of ea(2,8), whose 417,199 subgroups are beyond the
+    # join budget: only the product check can prove it largest.
+    monkeypatch.setattr(ablab.cli, "_GROUP_CACHE", {})
+    argv = "bogolyubov --group ea:2^8 --set random:density=1/2,seed=1 --mode tripling"
+    assert main(argv.split()) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert (witness["method"], witness["subgroup"]["order"]) == ("exhaustive", 256)
+    assert ablab.cli._GROUP_CACHE["ea:2^8"]._lattice is None
