@@ -35,7 +35,8 @@ from .kernels import (
 )
 
 DEFAULT_SIZE_BUDGET = 4096
-# Largest ambient order in which the subgroup oracle searches exhaustively.
+# Largest ambient order in which the subgroup oracle lists the subgroups of a
+# region; a region that is itself a subgroup is answered at any order.
 UNBOUNDED_ENUMERATION_LIMIT = 512
 # Coset joins one subgroup search may compute before it gives up.
 SUBGROUP_JOIN_BUDGET = 200_000

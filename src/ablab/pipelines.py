@@ -382,8 +382,9 @@ def subgroup_candidates_inside(
     flag: "exhaustive" (every subgroup inside w) for ambients of order <=
     UNBOUNDED_ENUMERATION_LIMIT whose search fits SUBGROUP_JOIN_BUDGET
     joins, else "heuristic" (the cyclic subgroups, w's symmetry group and
-    heuristic_tries seeded closures).  For the largest one alone,
-    largest_subgroup_inside first tries w itself."""
+    heuristic_tries seeded closures).  The list search is the oracle's
+    fallback: largest_subgroup_inside answers a w that is itself a subgroup
+    without it, at any order."""
     rng = _default_rng(rng, "subgroup-oracle")
     g = w.group
     region = _oracle_region(w, ambient)
@@ -404,19 +405,16 @@ def largest_subgroup_inside(
     """Largest subgroup of the ambient contained in w, ties broken by the
     least mask.
 
-    method "exhaustive" means proven largest.  For ambients of order <=
-    UNBOUNDED_ENUMERATION_LIMIT, a region closed under products is itself a
-    subgroup (it is finite, symmetric and holds 0), so it is the answer with
-    no search; otherwise it is the first of subgroup_candidates_inside,
-    which is "exhaustive" when the search fits its join budget and
-    "heuristic" (best found by seeded closures) when not.
+    method "exhaustive" means proven largest.  A region closed under
+    products is itself a subgroup (it is finite, symmetric and holds 0), so
+    at any order it is the answer with no search; otherwise it is the first
+    of subgroup_candidates_inside, which is "exhaustive" when the search
+    fits its order limit and join budget and "heuristic" (best found by
+    seeded closures) when not.
     """
     g = w.group
     region = _oracle_region(w, ambient)
-    if (
-        ambient.order <= UNBOUNDED_ENUMERATION_LIMIT
-        and kernels.product_mask(g, region, region) == region
-    ):
+    if kernels.product_mask(g, region, region) == region:
         best, method = region, "exhaustive"
     else:
         masks, method = subgroup_candidates_inside(w, ambient, heuristic_tries, rng)
@@ -654,7 +652,7 @@ class RegularityReport:
     subgroup: Subgroup
     index: int
     method: str
-    retries: int
+    retries: int = 0  # kept for the format: the oracle rejects no candidate
     cover_count: int | None
     d_set: GroupSet = field(metadata=as_key("structure"))
     structure_defect: Fraction
@@ -697,7 +695,6 @@ def _trivial_regularity_report(
         subgroup=h,
         index=1,
         method="trivial",
-        retries=0,
         cover_count=1,
         d_set=dec.d_set,
         structure_defect=dec.defect,
@@ -719,9 +716,11 @@ def regularity_decompose(
     """Stabilizer-based regularity decomposition with verified postconditions.
 
     Pipeline: d = vc_dimension(A); delta from (eps, nu, d); S = Stab_delta(A);
-    escalate B = S^(3^t) until |B^3| <= 3^p |B|; find a subgroup inside B^4;
-    verify it stabilizes A at eps; then split G into structured cosets D and
-    exceptional cosets Z.  Every reported inequality is re-checked exactly.
+    escalate B = S^(3^t) until |B^3| <= 3^p |B|; H is the oracle's largest
+    subgroup inside the symmetric region B^4 ∩ Stab_eps(A); then split G into
+    structured cosets D and exceptional cosets Z.  Every reported inequality
+    is re-checked exactly.  PreconditionError when delta > 30 (large eps),
+    where k = (30/delta)^d < 1 and no stabilizer can meet the packing bound.
     """
     eps = Fraction(eps)
     nu = Fraction(nu)
@@ -742,6 +741,10 @@ def regularity_decompose(
     dpow, e = _delta_power(eps, nu, d)
     threshold = _floor_delta_times(dpow, e, n)
     kpow = Fraction(30) ** e / dpow  # k^vb
+    if kpow < 1:
+        raise PreconditionError(
+            f"eps = {eps} too large: delta > 30 makes the packing bound (30/delta)^{d} < 1"
+        )
     p = Fraction(d) * (d + nu) / nu
     s = stabilizer_by_threshold(a, threshold)
     haussler_ok = Fraction(s.card) ** vb * kpow >= Fraction(n) ** vb
@@ -766,24 +769,17 @@ def regularity_decompose(
     # t <= log_{3^p} k, checked with integer exponents only
     t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
     w = power(b, 4)
-    candidates, method = subgroup_candidates_inside(
-        w, g.whole_subgroup(), heuristic_tries, rng.derive("oracle")
-    )
     stab_eps = stabilizer(a, eps).stabilizer
-    retries = 0
-    chosen = 1
-    for m in candidates:
-        if not m & ~stab_eps.mask:
-            chosen = m
-            break
-        retries += 1
-    sub = Subgroup(g, chosen)
+    witness = largest_subgroup_inside(
+        w & stab_eps, g.whole_subgroup(), heuristic_tries, rng.derive("oracle")
+    )
+    sub = witness.subgroup
     dec = coset_decomposition(a, sub, eps)
     flags = {
         "haussler": bool(haussler_ok),
         "escalation_bounded": bool(t_bounded),
-        "h_in_b4": not chosen & ~w.mask,
-        "h_in_stab_eps": not chosen & ~stab_eps.mask,
+        "h_in_b4": not sub.mask & ~w.mask,
+        "h_in_stab_eps": not sub.mask & ~stab_eps.mask,
     }
     return RegularityReport(
         eps=eps,
@@ -803,8 +799,7 @@ def regularity_decompose(
         b=b,
         subgroup=sub,
         index=sub.index,
-        method=method,
-        retries=retries,
+        method=witness.method,
         cover_count=covering_number(b, sub.members, GroupSet.full(g)) if b.card else None,
         d_set=dec.d_set,
         structure_defect=dec.defect,

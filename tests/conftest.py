@@ -21,6 +21,7 @@ from ablab import (
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
+    right_translate,
     symmetric_group,
 )
 from ablab.vc import DEFAULT_VC_CAP, VcResult
@@ -85,6 +86,26 @@ def random_nonempty(g: Group, r: SplitRng, density=Fraction(1, 3)) -> GroupSet:
     if mask == 0:
         mask = 1 << r.randint(0, g.order - 1)
     return GroupSet(g, mask)
+
+
+def planted_coset_union(g: Group, i: int) -> tuple[int, GroupSet, SplitRng]:
+    """The i-th set of acceptance 4 in ea(2,10): the union of two right
+    cosets of a planted index-8 subgroup K, one point flipped when i < 6.
+    Returns K's mask, the set and the RNG the trial goes on with."""
+    r = SplitRng.from_seed(404).derive(f"acc-4-{i}")
+    kmask = 0
+    while kmask.bit_count() != 128:
+        gens = r.sample(range(1, 1024), 7)
+        kmask = g.closure(sum(1 << x for x in gens))
+    k = GroupSet(g, kmask)
+    r1 = r.randint(0, 1023)
+    r2 = r.randint(0, 1023)
+    while kmask >> (r1 ^ r2) & 1:
+        r2 = r.randint(0, 1023)
+    a = right_translate(k, r1) | right_translate(k, r2)
+    if i < 6:  # perturbed trials
+        a = a ^ GroupSet.from_indices(g, [r.randint(0, 1023)])
+    return kmask, a, r
 
 
 # --- independent oracles ------------------------------------------------------

@@ -18,7 +18,6 @@ from ablab import (
     eval_word,
     largest_subgroup_inside,
     regularity_decompose,
-    right_translate,
 )
 from ablab.cli import (
     main,
@@ -29,7 +28,7 @@ from ablab.cli import (
     suite_ruzsa,
 )
 
-from conftest import brute_power, brute_word, naive_subgroups_inside
+from conftest import brute_power, brute_word, naive_subgroups_inside, planted_coset_union
 
 
 def _announce(tag: str, ok: bool, detail: str) -> None:
@@ -146,19 +145,7 @@ class TestRegularityEndToEnd:
         recovered = 0
         successes = 0
         for i in range(20):
-            r = SplitRng.from_seed(404).derive(f"acc-4-{i}")
-            kmask = 0
-            while kmask.bit_count() != 128:
-                gens = r.sample(range(1, 1024), 7)
-                kmask = g.closure(sum(1 << x for x in gens))
-            k = GroupSet(g, kmask)
-            r1 = r.randint(0, 1023)
-            r2 = r.randint(0, 1023)
-            while kmask >> (r1 ^ r2) & 1:
-                r2 = r.randint(0, 1023)
-            a = right_translate(k, r1) | right_translate(k, r2)
-            if i < 6:  # perturbed trials
-                a = a ^ GroupSet.from_indices(g, [r.randint(0, 1023)])
+            kmask, a, r = planted_coset_union(g, i)
             rep = regularity_decompose(a, F(1, 4), F(1), rng=r.derive("pipe"))
             if rep.success:
                 successes += 1

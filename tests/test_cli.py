@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -306,6 +308,39 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["h_in_w"] is True
+
+
+class TestRegularityEpsDomain:
+    """delta > 30 puts the packing bound k = (30/delta)^d below 1, which no
+    stabilizer meets: that is a property of the input, so it exits 2, not 4.
+    With nu = 1 and d = 2 in cyclic(8), delta = 30 exactly at eps = 120."""
+
+    @staticmethod
+    def argv(group, eps):
+        return ["regularity", "--group", group, "--set", "elems:[0,1]", "--eps", eps, "--nu", "1"]
+
+    @pytest.mark.parametrize(
+        "group, eps",
+        [("cyclic:8", "121"), ("cyclic:8", "200"), ("cyclic:8", "1000000"), ("ea:2^6", "1000")],
+    )
+    def test_eps_beyond_the_packing_bound_exits_2_with_one_line(self, capsys, group, eps):
+        assert run(self.argv(group, eps)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            rf"ablab: error: eps = {eps} too large: delta > 30 makes the packing bound"
+            r" \(30/delta\)\^\d < 1\n",
+            err,
+        )
+
+    def test_eps_at_the_bound_keeps_its_report(self, capsys):
+        # k = 1 exactly is admissible; the digest pins the report's bytes.
+        assert run(self.argv("cyclic:8", "120")) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["k"] == 1.0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "55c742497e370dfb89649d63ebeb80b6aa3d7bd3bf884e05da6976bdcb4cfc14"
+        )
 
 
 class TestDeterminism:

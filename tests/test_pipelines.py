@@ -19,6 +19,7 @@ from ablab import (
     largest_subgroup_inside,
     left_translate,
     mode_sets,
+    pipelines,
     power,
     product,
     regularity_decompose,
@@ -40,9 +41,24 @@ from conftest import (
     brute_power,
     brute_word,
     naive_subgroups_inside,
+    planted_coset_union,
     random_nonempty,
     rng,
 )
+
+
+@pytest.fixture
+def heuristic_calls(monkeypatch) -> list:
+    """The subgroup oracle's seeded-closure searches from then on."""
+    calls = []
+    real = pipelines._heuristic_masks
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(pipelines, "_heuristic_masks", counted)
+    return calls
 
 
 class TestModeSets:
@@ -205,12 +221,22 @@ class TestLargestSubgroupInside:
                 assert self._candidate_sets(s4, masks) == naive_subgroups_inside(s4, set(w))
 
     def test_heuristic_on_large_group(self):
+        # Above order 512 a region that is not a subgroup is searched by
+        # seeded closures: k plus one involution outside it.
         g = elementary_abelian_group(2, 10)
         k = g.closure(0b1110)  # small subgroup
-        w = GroupSet(g, k)
+        w = GroupSet(g, k | 1 << 16)
         wit = largest_subgroup_inside(w, g.whole_subgroup())
         assert wit.method == "heuristic"
-        assert wit.subgroup.mask == k  # symmetry-group candidate finds it exactly
+        assert wit.subgroup.mask == k  # the seeded closures find it exactly
+
+    def test_subgroup_region_on_large_group_is_exhaustive(self, heuristic_calls):
+        # W W = W proves a region a subgroup at any order, with no search.
+        g = elementary_abelian_group(2, 10)
+        k = g.closure(0b1110)
+        wit = largest_subgroup_inside(GroupSet(g, k), g.whole_subgroup())
+        assert (wit.method, wit.subgroup.mask) == ("exhaustive", k)
+        assert heuristic_calls == []
 
 
 class TestBogolyubov:
@@ -416,6 +442,17 @@ class TestRegularityPipeline:
             "dichotomy_off_z",
         }
         assert rep.success
+
+    def test_planted_cosets_in_ea2_10_need_no_heuristic(self, heuristic_calls):
+        # B^4 ∩ Stab_eps(A) is a subgroup on acceptance 4's sets, so the
+        # product check answers each exactly at order 1024.
+        g = elementary_abelian_group(2, 10)
+        for i in range(20):
+            kmask, a, r = planted_coset_union(g, i)
+            rep = regularity_decompose(a, F(1, 4), F(1), rng=r.derive("pipe"))
+            assert rep.success and rep.method == "exhaustive" and rep.retries == 0
+            assert not kmask & ~rep.subgroup.mask
+        assert heuristic_calls == []
 
     def test_report_fields_aligned_on_both_paths(self, ea24):
         k = [s for s in enumerate_subgroups(ea24) if s.index == 2][0]

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import ablab.cli
 import ablab.groups
 import ablab.kernels
+import ablab.pipelines
 from ablab import (
     FeasibilityError,
     GroupSet,
@@ -27,12 +28,21 @@ from ablab import (
     build_group,
     largest_subgroup_inside,
     parse_group_spec,
+    parse_set_spec,
+    regularity_decompose,
+    right_translate,
     subgroup_candidates_inside,
 )
 from ablab.cli import main
 from ablab.groups import Group, subgroups_inside
 
-from conftest import naive_subgroups_inside, random_nonempty, rng
+from conftest import (
+    brute_power,
+    brute_stabilizer,
+    naive_subgroups_inside,
+    random_nonempty,
+    rng,
+)
 
 SPECS = [
     "cyclic:12",
@@ -336,3 +346,87 @@ def test_cli_ea2_8_tripling_is_answered_exhaustively(capsys, monkeypatch):
     witness = json.loads(capsys.readouterr().out)["witness"]
     assert (witness["method"], witness["subgroup"]["order"]) == ("exhaustive", 256)
     assert ablab.cli._GROUP_CACHE["ea:2^8"]._lattice is None
+
+
+# --- the regularity pipeline's question to the oracle ------------------------------
+
+REGULARITY_EPS = (F(1, 9), F(1, 4), F(1), F(4), F(16))
+
+
+def check_regularity(a: GroupSet, eps: F, nu: F) -> tuple[int, bool]:
+    """The regularity H against the largest naive subgroup inside B^4 that
+    lies in Stab_eps(A), both read with plain element loops.  Returns H's
+    order and whether that region is itself a subgroup."""
+    g = a.group
+    rep = regularity_decompose(a, eps, nu)
+    b4 = brute_power(g, list(rep.b), 4)
+    stab = brute_stabilizer(g, a, eps * g.order, "left")
+    region = mask_of(b4 & stab)
+    assert rep.subgroup.mask == naive_largest(g, region)
+    assert rep.method == ("trivial" if rep.d == 0 else "exhaustive")
+    assert rep.retries == 0 and rep.success
+    return rep.subgroup.order, rep.subgroup.mask == region
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_regularity_subgroup_matches_naive_largest(spec):
+    # Random sets, and unions of two right cosets of each proper nontrivial
+    # subgroup, one of them with a point flipped.
+    g = ZOO[spec]
+    r = rng(f"regularity-{spec}")
+    sets = [random_nonempty(g, r, density) for density in (F(1, 4), F(1, 2), F(3, 4))]
+    for h in naive_lattice(spec)[1:-1]:
+        a = right_translate(GroupSet(g, h), r.randint(0, g.order - 1))
+        a |= right_translate(GroupSet(g, h), r.randint(0, g.order - 1))
+        sets += [a, a ^ GroupSet.from_indices(g, [r.randint(0, g.order - 1)])]
+    orders = [check_regularity(a, eps, F(1))[0] for a in sets for eps in REGULARITY_EPS]
+    assert max(orders) > 1
+
+
+@pytest.mark.parametrize(
+    "spec, elems",
+    [
+        ("cyclic:12", [0, 5, 7]),
+        ("dihedral:6", [0, 1, 2, 8, 9]),
+        ("prod:cyclic:2+sym:3", [1, 4, 5, 6, 8, 9, 11]),
+    ],
+)
+def test_regularity_region_that_is_not_a_subgroup(spec, elems):
+    # Most regions B^4 ∩ Stab_eps(A) are subgroups; at eps = 4 these nine
+    # elements are not, so the oracle's list search answers.
+    order, closed = check_regularity(GroupSet.from_indices(ZOO[spec], elems), F(4), F(1))
+    assert (order, closed) == (3, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(ORACLE_SPECS),
+    bits=st.integers(min_value=0),
+    which=st.integers(min_value=0),
+    eps=st.sampled_from(REGULARITY_EPS),
+    nu=st.sampled_from((F(1), F(1, 2), F(2))),
+)
+def test_property_regularity_subgroup_matches_naive_largest(spec, bits, which, eps, nu):
+    g = ZOO[spec]
+    lattice = naive_lattice(spec)
+    a = GroupSet(g, (bits ^ lattice[which % len(lattice)]) & ((1 << g.order) - 1))
+    check_regularity(a, eps, nu)
+
+
+def test_regularity_on_a_subgroup_region_builds_no_lattice(monkeypatch, join_calls):
+    # The golden input regularity_ea6_cosets: B^4 is a subgroup of order 32
+    # inside Stab_eps(A), answered by one product check.
+    searches = []
+
+    def counted(g, region):
+        searches.append(region)
+        return subgroups_inside(g, region)
+
+    monkeypatch.setattr(ablab.pipelines, "subgroups_inside", counted)
+    g = build_group(parse_group_spec("ea:2^6"))
+    a = parse_set_spec(g, "cosets:H=[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15],reps=[0,17]")
+    join_calls.clear()
+    rep = regularity_decompose(a, F(1, 4), F(1))
+    assert (rep.method, rep.subgroup.order) == ("exhaustive", 32)
+    assert searches == [] and join_calls == []
+    assert g._lattice is None
