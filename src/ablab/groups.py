@@ -65,7 +65,8 @@ class Group:
         n = int(table.shape[0])
         if n == 0:
             raise GroupConstructionError("group must be nonempty")
-        if table.min() < 0 or table.max() >= n:
+        # Unsigned tables, as every builder makes, cannot hold negatives.
+        if (table.dtype.kind != "u" and table.min() < 0) or table.max() >= n:
             raise GroupConstructionError("table entries out of range")
         table = table.astype(_index_dtype(n), copy=False)
         self.order = n
@@ -197,53 +198,134 @@ class Group:
 
 def _derive_inverses(table: np.ndarray) -> np.ndarray:
     n = table.shape[0]
-    zero_counts = (table == 0).sum(axis=1)
-    if not np.all(zero_counts == 1):
+    zero = table == 0
+    if not np.all(zero.sum(axis=1) == 1):
         raise GroupConstructionError("some element has no (or multiple) inverses")
     # Kept in intp: numpy gathers through inv without converting the indices.
-    inv = (table == 0).argmax(axis=1)
+    inv = zero.argmax(axis=1)
     if not np.all(table[inv, np.arange(n)] == 0):
         raise GroupConstructionError("inverses are not two-sided")
     return inv
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays of one shape are equal: the associativity check's
+    one comparison."""
+    return bool((a == b).all())
+
+
+def _table_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx], read in place when idx is a run of consecutive indices."""
+    lo = int(idx[0])
+    if idx.tolist() == list(range(lo, lo + len(idx))):
+        return table[lo : lo + len(idx)]
+    return table[idx]
+
+
 def _validate_table(g: Group) -> None:
     """Exact group check of g.mult, whose entries are in range and whose
-    inverses are two-sided: element 0 is a two-sided identity, and Light's
-    test proves associativity.
+    inverses are two-sided: element 0 is a two-sided identity, and a
+    coset-walk tree plus generator commutation proves associativity.
 
-    The y with (xy)z = x(yz) for all x, z contain 0 and are closed under
-    multiplication: for two of them, (x(ab))z = ((xa)b)z = (xa)(bz) =
-    x(a(bz)) = x((ab)z).  So it suffices to test generators: each y is the
-    least element outside the set reached so far, and the reached set grows
-    by join_mask, whose members are all products of tested elements.  In a
-    group each join at least doubles the reached subgroup, so a join that
-    does not proves the table non-associative, and at most log2(n)
-    generators are tested.
+    Write L_x for row x and R_x for column x, the maps z -> xz and z -> zx.
+    Generators are picked as in a subgroup search: each is the least element
+    not reached yet.  The reached set K, at first {0}, grows by join_mask's
+    coset walk.  From each coset C of the walk (K itself first, where only
+    the new generator is tried) and each generator s for which (head of C)*s
+    is not reached yet, it adds the coset C*s = {cs : c in C}, read from the
+    column of s; in a group that is the right coset K(rs), r the head of C.
+    Every element x = cs of an added coset has the parent c, reached before
+    x.  Three checks follow, and each holds in every group:
+
+    (b) an added coset is |K| elements not reached before, so every x != 0
+        is checked once and each join at least doubles K;
+    (c) s(wt) = (sw)t for every w and all generators s, t: L_s and R_t
+        commute;
+    (a) L_x = L_c o L_s for every x = cs with parent c.
+
+    Let P be the monoid generated by the L_s, and Q the one generated by
+    the R_t.  Along the walk, (a) puts every L_x in P.  By (c), P commutes
+    with Q.  Q moves 0 to every x: write L_x = L_s1 o ... o L_sk; then
+    x = L_x(0), and moving each L_s past the R's by (c), with L_s(0) = s =
+    R_s(0), gives x = R_sk o ... o R_s1 (0).  So two members of P that agree
+    at 0 agree everywhere: p(q(0)) = q(p(0)).  L_x o L_y and L_xy lie in P
+    and both send 0 to xy, so x(yz) = (xy)z for all x, y, z.  This is the
+    argument that a transitive permutation group with a transitive
+    centralizer is regular (Dixon and Mortimer, Permutation Groups, 1996,
+    section 4.2).  It does not use (b), which bounds the work.
+
+    The rows of (a) for one generator s share row s as one column
+    permutation, so each generator costs one np.take per block: n - 1 rows
+    in all, plus |S|^2 n cells for (c).
     """
     table = g.mult
-    idx = np.arange(g.order)
-    if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
+    n = g.order
+    identity = np.arange(n, dtype=table.dtype).tobytes()
+    if not (table[0].tobytes() == identity and table[:, 0].tobytes() == identity):
         raise GroupConstructionError("element 0 is not a two-sided identity")
-    full = (1 << g.order) - 1
-    step = max(1, _TABLE_CHECK_CELLS // g.order)
-    reached, gens = 1, ()
-    while reached != full:
-        y = ((reached + 1) & ~reached).bit_length() - 1  # lowest clear bit
-        # (xy)z against x(yz) for all x, z, one block of rows x at a time;
-        # np.take gathers columns much faster than fancy indexing.
-        col, row = table[:, y], table[y]
-        for i in range(0, g.order, step):
-            block = slice(i, i + step)
-            if not np.array_equal(table[col[block]], np.take(table[block], row, axis=1)):
-                raise GroupConstructionError(f"associativity fails at y={y}")
-        grown = join_mask(g, reached, gens, y)
-        if grown.bit_count() < 2 * reached.bit_count():
-            raise GroupConstructionError(
-                f"associativity fails: joining y={y} does not double the"
-                f" {reached.bit_count()} elements reached"
-            )
-        reached, gens = grown, gens + (y,)
+    gens: list[int] = []
+    gen_cols: list[list[int]] = []  # gen_cols[e][r] = r * gens[e]
+    xs: list[list[int]] = []  # xs[e][i] = ps[e][i] * gens[e]
+    ps: list[list[int]] = []
+    reached, kelems, y = {0}, [0], 0
+    while len(reached) < n:
+        while y in reached:
+            y += 1
+        gens.append(y)
+        gen_cols.append(table[:, y].tolist())
+        xs.append([])
+        ps.append([])
+        # Cosets list their elements in K's order, so coset j's element i is
+        # the parent of element i of every coset added from it.
+        cosets = [kelems]
+        j, first = 0, len(gens) - 1
+        while j < len(cosets):
+            base = cosets[j]
+            for e in range(first if j == 0 else 0, len(gens)):
+                col = gen_cols[e]
+                if col[base[0]] in reached:
+                    continue
+                coset = list(map(col.__getitem__, base))
+                before = len(reached)
+                reached.update(coset)
+                if len(reached) - before != len(coset):  # (b)
+                    raise GroupConstructionError(
+                        f"associativity fails: the coset of {coset[0]} over the"
+                        f" {len(kelems)} elements reached meets an element twice"
+                    )
+                xs[e] += coset
+                ps[e] += base
+                cosets.append(coset)
+            j += 1
+        kelems = list(itertools.chain.from_iterable(cosets))
+    # (c): [s, t, w] = s(wt) against (sw)t.
+    rows, cols = table[gens], table.T[gens]
+    if not _same(np.take(rows, cols, axis=1), np.take(cols, rows, axis=1).transpose(1, 0, 2)):
+        raise GroupConstructionError(
+            "associativity fails: some generators s, t have s(wt) != (sw)t"
+        )
+    # (a): the rows x != 0, grouped by generator, a block at a time.
+    order = np.array(list(itertools.chain.from_iterable(xs)), dtype=np.intp)
+    parents = np.array(list(itertools.chain.from_iterable(ps)), dtype=np.intp)
+    ends = list(itertools.accumulate(map(len, xs)))
+    step = max(1, _TABLE_CHECK_CELLS // n)
+    for i in range(0, len(order), step):
+        j = min(i + step, len(order))
+        xrows, prows = _table_rows(table, order[i:j]), _table_rows(table, parents[i:j])
+        lo = i
+        for e in range(len(gens)):
+            hi = min(ends[e], j)
+            if lo < hi:
+                seg = slice(lo - i, hi - i)
+                # np.take gathers columns much faster than fancy indexing.
+                composed = np.take(prows[seg], rows[e], axis=1)
+                if not _same(xrows[seg], composed):
+                    k = lo + np.flatnonzero((xrows[seg] != composed).any(axis=1))[0]
+                    raise GroupConstructionError(
+                        f"associativity fails: row {order[k]} is not row"
+                        f" {parents[k]} followed by row {gens[e]}"
+                    )
+                lo = hi
 
 
 # --- builders ---------------------------------------------------------------

@@ -46,7 +46,7 @@ from .sets import (
     power,
     product,
 )
-from .vc import stabilizer, stabilizer_by_threshold, vc_dimension
+from .vc import stabilizer_by_threshold, vc_dimension
 
 def _default_rng(rng: SplitRng | None, label: str) -> SplitRng:
     return rng if rng is not None else SplitRng.from_seed(0).derive(label)
@@ -746,7 +746,9 @@ def regularity_decompose(
             f"eps = {eps} too large: delta > 30 makes the packing bound (30/delta)^{d} < 1"
         )
     p = Fraction(d) * (d + nu) / nu
-    s = stabilizer_by_threshold(a, threshold)
+    # One gather of A's translates serves Stab_delta(A) and Stab_eps(A).
+    counts = kernels.translate_diff_counts(g, a.mask)
+    s = GroupSet(g, bools_to_mask(counts <= threshold))
     haussler_ok = Fraction(s.card) ** vb * kpow >= Fraction(n) ** vb
     if not haussler_ok:
         raise TheoremViolationError(
@@ -769,7 +771,7 @@ def regularity_decompose(
     # t <= log_{3^p} k, checked with integer exponents only
     t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
     w = power(b, 4)
-    stab_eps = stabilizer(a, eps).stabilizer
+    stab_eps = GroupSet(g, bools_to_mask(counts <= eps.numerator * n // eps.denominator))
     witness = largest_subgroup_inside(
         w & stab_eps, g.whole_subgroup(), heuristic_tries, rng.derive("oracle")
     )

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ablab.groups
 from ablab import (
@@ -208,15 +209,30 @@ class TestSubgroupFromIndices:
         assert str(info.value) == str(set_info.value)
 
 
+# A loop of order 6 whose walk and rows pass: only generator commutation,
+# check (c) of the table validator, refuses it.  Found by listing the 1,808
+# reduced Latin squares of order 6 with two-sided inverses; 38 of them are
+# refused by (c) alone.
+COMMUTATION_ONLY_LOOP = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 4, 5, 2],
+    [2, 3, 4, 5, 0, 1],
+    [3, 4, 5, 2, 1, 0],
+    [4, 5, 0, 1, 2, 3],
+    [5, 2, 1, 0, 3, 4],
+]
+LOOP_SPECS = ["ea:2^4", "cyclic:12", "dihedral:6", "sym:4", "dihedral:8", "prod:cyclic:2+sym:3"]
+
+
 class TestAssociativityCheck:
-    """Light's test in the table validator against a plain triple loop."""
+    """The table validator's associativity proof against a plain triple loop."""
 
     def test_zoo_tables_are_associative(self, small_zoo, d4):
         for g in small_zoo + [d4, alternating_group(4), cyclic_group(15)]:
             assert brute_associative(g.mult)
             Group(g.mult, "copy")  # validates without raising
 
-    @pytest.mark.parametrize("spec", ["ea:2^4", "cyclic:12", "dihedral:6", "sym:4"])
+    @pytest.mark.parametrize("spec", LOOP_SPECS)
     def test_random_loops_match_the_triple_loop(self, spec):
         g = build_group(parse_group_spec(spec))
         r = rng(f"loops-{spec}")
@@ -249,6 +265,60 @@ class TestAssociativityCheck:
                     with pytest.raises(GroupConstructionError, match="associativity"):
                         Group(t, "loop")
             assert broken >= 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(LOOP_SPECS),
+        seed=st.integers(0, 2**16),
+        swaps=st.integers(1, 4),
+    )
+    def test_loops_are_refused_iff_the_triple_loop_fails(self, spec, seed, swaps):
+        g = build_group(parse_group_spec(spec))
+        t = random_loop(g, rng(f"loop-property-{seed}"), swaps=swaps)
+        if brute_associative(t):
+            Group(t, "loop")
+        else:
+            with pytest.raises(GroupConstructionError, match="associativity"):
+                Group(t, "loop")
+
+    @pytest.mark.parametrize(
+        "table, check",
+        [
+            # (a) alone: the walk and the commutation pass.
+            (lambda: random_loop(symmetric_group(4), rng("pin-rows-0"), swaps=1), "is not row"),
+            # (b): a coset meets an element already reached.
+            (lambda: random_loop(symmetric_group(4), rng("pin-cosets-2"), swaps=1), "twice"),
+            # (c) alone: every row passes.
+            (lambda: np.array(COMMUTATION_ONLY_LOOP), r"s\(wt\) != \(sw\)t"),
+        ],
+        ids=["rows", "cosets", "commutation"],
+    )
+    def test_each_check_refuses_its_pinned_loop(self, table, check):
+        t = table()
+        assert not brute_associative(t)
+        with pytest.raises(GroupConstructionError, match=f"associativity fails.*{check}"):
+            Group(t, "loop")
+
+    def test_commutation_only_loop_cayley_file_exits_2(self, tmp_path, capsys):
+        from ablab.cli import main
+
+        path = tmp_path / "loop.cayley"
+        rows = [" ".join(map(str, row)) for row in COMMUTATION_ONLY_LOOP]
+        path.write_text("\n".join(["6"] + rows) + "\n")
+        assert main(["group", "--group", f"cayley:{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "associativity" in err
+
+    def test_ea_2_12_compares_each_row_once(self, monkeypatch):
+        """n - 1 rows plus |S|^2 n commutation cells, for the 12 generators."""
+        cells = []
+        same = ablab.groups._same
+        monkeypatch.setattr(
+            ablab.groups, "_same", lambda a, b: cells.append(a.size) or same(a, b)
+        )
+        n = build_group(parse_group_spec("ea:2^12")).order
+        assert sum(cells) == (n - 1) * n + 12**2 * n
 
 
 class TestExactCheckAboveOrder512:
