@@ -42,8 +42,12 @@ UNBOUNDED_ENUMERATION_LIMIT = 512
 SUBGROUP_JOIN_BUDGET = 200_000
 # Table cells hashed at a time by Group.signature.
 _SIGNATURE_BLOCK_CELLS = 1 << 16
-# Table cells compared at a time by the associativity check.
-_TABLE_CHECK_CELLS = 1 << 20
+# Table cells compared at a time by the associativity check: 256 KB of
+# uint16, small enough to stay in cache and for malloc to reuse the same
+# heap memory for every block's temporaries.  Blocks of 2 MB and up are
+# given fresh mmaps, which fault in every page of every block, unless an
+# earlier large free has raised malloc's mmap threshold.
+_TABLE_CHECK_CELLS = 1 << 17
 
 
 def _index_dtype(n: int):
@@ -197,13 +201,20 @@ class Group:
 
 
 def _derive_inverses(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    zero = table == 0
-    if not np.all(zero.sum(axis=1) == 1):
-        raise GroupConstructionError("some element has no (or multiple) inverses")
+    """inv[x] = the first y with xy = 0, refused unless also yx = 0.
+
+    One argmin pass over the table, then two gathers of n cells.  The zeros
+    in a row are not counted: _validate_table then proves the table
+    associative with identity 0, and an associative table in which every x
+    has a two-sided inverse is a group, where xy = 0 has the one solution
+    y = x^-1.  So a row with a second 0 passes here and is refused there.
+    """
     # Kept in intp: numpy gathers through inv without converting the indices.
-    inv = zero.argmax(axis=1)
-    if not np.all(table[inv, np.arange(n)] == 0):
+    inv = table.argmin(axis=1)
+    x = np.arange(table.shape[0])
+    if table[x, inv].any():
+        raise GroupConstructionError("some element has no (or multiple) inverses")
+    if table[inv, x].any():
         raise GroupConstructionError("inverses are not two-sided")
     return inv
 
@@ -223,9 +234,11 @@ def _table_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _validate_table(g: Group) -> None:
-    """Exact group check of g.mult, whose entries are in range and whose
-    inverses are two-sided: element 0 is a two-sided identity, and a
-    coset-walk tree plus generator commutation proves associativity.
+    """Exact group check of g.mult, whose entries are in range and in which
+    every x has some y with xy = 0 = yx (_derive_inverses): element 0 is a
+    two-sided identity, and a coset-walk tree plus generator commutation
+    proves associativity.  Neither step assumes that rows are permutations;
+    a group's are, so a table that passes is a group.
 
     Write L_x for row x and R_x for column x, the maps z -> xz and z -> zx.
     Generators are picked as in a subgroup search: each is the least element
@@ -256,7 +269,8 @@ def _validate_table(g: Group) -> None:
 
     The rows of (a) for one generator s share row s as one column
     permutation, so each generator costs one np.take per block: n - 1 rows
-    in all, plus |S|^2 n cells for (c).
+    in all, plus |S|^2 n cells for (c), compared one generator s at a time
+    so that no temporary holds more than |S| n cells.
     """
     table = g.mult
     n = g.order
@@ -298,12 +312,13 @@ def _validate_table(g: Group) -> None:
                 cosets.append(coset)
             j += 1
         kelems = list(itertools.chain.from_iterable(cosets))
-    # (c): [s, t, w] = s(wt) against (sw)t.
+    # (c): [t, w] = s(wt) against (sw)t, for one generator s at a time.
     rows, cols = table[gens], table.T[gens]
-    if not _same(np.take(rows, cols, axis=1), np.take(cols, rows, axis=1).transpose(1, 0, 2)):
-        raise GroupConstructionError(
-            "associativity fails: some generators s, t have s(wt) != (sw)t"
-        )
+    for row in rows:
+        if not _same(np.take(row, cols), np.take(cols, row, axis=1)):
+            raise GroupConstructionError(
+                "associativity fails: some generators s, t have s(wt) != (sw)t"
+            )
     # (a): the rows x != 0, grouped by generator, a block at a time.
     order = np.array(list(itertools.chain.from_iterable(xs)), dtype=np.intp)
     parents = np.array(list(itertools.chain.from_iterable(ps)), dtype=np.intp)
@@ -336,13 +351,30 @@ def _check_budget(order: int, budget: int) -> None:
         raise SizeBudgetError(f"group of order {order} exceeds budget {budget}")
 
 
+def _cyclic_windows(n: int, dtype) -> np.ndarray:
+    """The n + 1 windows w[k] = (k, k+1, ..., k+n-1) mod n, views of one
+    array of 2n entries: w[i][j] = (i + j) mod n, w[n - i][j] = (j - i) mod n."""
+    r = np.arange(n, dtype=dtype)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), n)
+
+
+def _product_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table of the direct product of the groups with tables a and b:
+    (a1, b1)(a2, b2) = (a1 a2, b1 b2), with index (a1 a2) n2 + b1 b2 < n1 n2.
+    Formed in place in the product's index dtype."""
+    n1, n2 = len(a), len(b)
+    out = np.empty((n1, n2, n1, n2), dtype=_index_dtype(n1 * n2))
+    out[...] = a[:, None, :, None]
+    out *= n2
+    out += b[None, :, None, :]
+    return out.reshape(n1 * n2, n1 * n2)
+
+
 def cyclic_group(n: int, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
     if n < 1:
         raise GroupConstructionError("cyclic order must be positive")
     _check_budget(n, budget)
-    # Row i of the table is r[i : i + n] for r = 0..n-1 repeated twice.
-    r = np.arange(n, dtype=_index_dtype(n))
-    table = np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), n)[:n]
+    table = _cyclic_windows(n, _index_dtype(n))[:n]
     return Group(table, f"cyclic({n})", {"kind": "cyclic", "n": n})
 
 
@@ -360,16 +392,12 @@ def elementary_abelian_group(p: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) 
         r = np.arange(n, dtype=_index_dtype(n))
         table = r[:, None] ^ r[None, :]
     else:
-        digits = np.empty((n, k), dtype=np.int64)
-        r = np.arange(n)
-        for i in range(k):
-            digits[:, i] = (r // p**i) % p
-        weights = p ** np.arange(k)
-        table = np.empty((n, n), dtype=_index_dtype(n))
-        step = max(1, (1 << 22) // (n * k))
-        for i in range(0, n, step):
-            s = (digits[i : i + step, None, :] + digits[None, :, :]) % p
-            table[i : i + step] = s @ weights
+        # Index sum(d_i p^i) is the digit vector d; the top digit is the
+        # first factor of C_p x ea(p, k-1).
+        cp = _cyclic_windows(p, _index_dtype(p))[:p]
+        table = cp
+        for _ in range(k - 1):
+            table = _product_table(cp, table)
     return Group(table, f"ea({p},{k})", {"kind": "ea", "p": p, "k": k})
 
 
@@ -379,10 +407,15 @@ def dihedral_group(n: int, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
         raise GroupConstructionError("dihedral parameter must be positive")
     _check_budget(2 * n, budget)
     size = 2 * n
-    e, i = np.divmod(np.arange(size), n)
-    sign = 1 - 2 * e
-    rot = (i[:, None] * sign[None, :] + i[None, :]) % n
-    table = (e[:, None] ^ e[None, :]) * n + rot
+    # s^e r^i s^f r^j = s^(e+f) r^(j +- i), with - when f = 1: four blocks,
+    # each r^(i+j) or r^(j-i), shifted by n where e + f = 1.
+    windows = _cyclic_windows(n, _index_dtype(size))
+    plus, minus = windows[:n], windows[n:0:-1]
+    table = np.empty((size, size), dtype=windows.dtype)
+    table[:n, :n] = plus
+    np.add(minus, n, out=table[:n, n:])
+    np.add(plus, n, out=table[n:, :n])
+    table[n:, n:] = minus
     return Group(table, f"dihedral({n})", {"kind": "dihedral", "n": n})
 
 
@@ -429,15 +462,9 @@ def direct_product_group(factors: Sequence[Group], budget: int = DEFAULT_SIZE_BU
         return factors[0]
     g = factors[0]
     for h in factors[1:]:
-        n1, n2 = g.order, h.order
-        _check_budget(n1 * n2, budget)
-        a1, b1 = np.divmod(np.arange(n1 * n2), n2)
-        # (a1, b1)(a2, b2) = (a1 a2, b1 b2) has index (a1 a2) n2 + b1 b2 < n1 n2.
-        table = g.mult.astype(_index_dtype(n1 * n2))[np.ix_(a1, a1)]
-        table *= n2
-        table += h.mult[np.ix_(b1, b1)]
+        _check_budget(g.order * h.order, budget)
         g = Group(
-            table,
+            _product_table(g.mult, h.mult),
             f"{g.label}x{h.label}",
             {"kind": "product", "factors": [g.family, h.family]},
         )

@@ -329,12 +329,19 @@ def random_loop(g: Group, r: SplitRng, swaps: int = 3) -> np.ndarray:
     symbols keeps the table a Latin square.  Swaps avoid row 0, column 0
     and symbol 0, so the result is a loop with two-sided inverses that is
     usually not associative.  g must have even order: a group table has an
-    intercalate only if the group has an element of order 2.
+    intercalate only if the group has an element of order 2.  Even that is
+    not enough (in cyclic(4) every such intercalate holds symbol 0), so
+    after 1000 n tries per swap it raises ValueError.  In a group of order
+    n >= 5 with an involution, a try succeeds with probability about 1/n
+    or more.
     """
     t = np.array(g.mult, dtype=np.int64)
     n = g.order
-    done = 0
+    done = tries = 0
     while done < swaps:
+        if tries == 1000 * n * swaps:
+            raise ValueError(f"{g.label} gave {done} of {swaps} swaps in {tries} tries")
+        tries += 1
         x, y, u = (r.randint(1, n - 1) for _ in range(3))
         a, b = t[x, u], t[y, u]
         v = int(np.flatnonzero(t[x] == b)[0])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ablab.groups
 from ablab import (
@@ -163,7 +163,7 @@ class TestBuilderTables:
             rows = np.arange(i, min(i + 256, n))
             assert np.array_equal(g.mult[rows], (rows[:, None] + r[None, :]) % n)
 
-    @pytest.mark.parametrize("p, k", [(2, 5), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("p, k", [(2, 5), (3, 1), (3, 3), (5, 2)])
     def test_elementary_abelian(self, p, k):
         g = elementary_abelian_group(p, k)
         n = p**k
@@ -173,6 +173,17 @@ class TestBuilderTables:
 
         assert g.mult.dtype == _index_dtype(n)
         assert g.mult.tolist() == [[add(x, y) for y in range(n)] for x in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 2048])
+    def test_dihedral(self, n):
+        """Index e n + i is s^e r^i, and s^e r^i s^f r^j = s^(e+f) r^(j +- i)."""
+        g = dihedral_group(n)
+        assert g.mult.dtype == _index_dtype(2 * n)
+        e, i = np.divmod(np.arange(2 * n), n)
+        for lo in range(0, 2 * n, 256):  # row blocks keep the int64 oracle small
+            x = slice(lo, lo + 256)
+            want = (e[x, None] ^ e[None, :]) * n + (i[x, None] * (1 - 2 * e[None, :]) + i) % n
+            assert np.array_equal(g.mult[x], want)
 
     def test_direct_product(self, d6):
         c4 = cyclic_group(4)
@@ -197,6 +208,71 @@ class TestBuilderTables:
             tracemalloc.stop()
         assert g.order == 4096
         assert peak < 160 * 2**20
+
+    @staticmethod
+    def _build_peak(spec):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            g = build_group(parse_group_spec(spec))
+            return g, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("spec", ["cyclic:4096", "ea:2^12"])
+    def test_order_4096_builds_peak_below_table_plus_8_mb(self, spec):
+        # No n x n temporary: the bool table of the old inverse search was 16 MB.
+        g, peak = self._build_peak(spec)
+        assert peak < g.mult.nbytes + 8 * 2**20
+
+    @pytest.mark.parametrize("spec", ["dihedral:2048", "ea:3^7"])
+    def test_formed_builds_peak_below_two_and_a_half_tables(self, spec):
+        # Their int64 broadcasts peaked at 304 MB and 105 MB.
+        g, peak = self._build_peak(spec)
+        assert peak <= 2.5 * g.mult.nbytes
+
+
+@st.composite
+def identity_tables(draw):
+    """A table of order <= 5 with 0 as a two-sided identity, other cells free."""
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    return [list(range(n))] + [
+        [x] + draw(st.lists(cell, min_size=n - 1, max_size=n - 1)) for x in range(1, n)
+    ]
+
+
+class TestInverseCheck:
+    """Inverses are read from the first 0 of each row; a second 0 in a row is
+    left to the associativity proof."""
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, 1, 2], [1, 2, 1], [2, 0, 1]], r"no \(or multiple\) inverses"),
+            ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "not two-sided"),
+            ([[0, 1, 2], [1, 0, 0], [2, 0, 1]], "associativity"),
+        ],
+        ids=["no-zero", "one-sided-first-zero", "second-zero"],
+    )
+    def test_pinned_table_is_refused(self, table, message):
+        with pytest.raises(GroupConstructionError, match=message):
+            Group(np.array(table), "t")
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=identity_tables())
+    @example(t=[[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    @example(t=[[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
+    @example(t=[[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    def test_accepts_exactly_the_group_tables(self, t):
+        n = len(t)
+        inverses = all(any(t[x][y] == 0 == t[y][x] for y in range(n)) for x in range(n))
+        if brute_associative(t) and inverses:
+            g = Group(np.array(t), "t")
+            assert all(t[x][int(g.inv[x])] == 0 for x in range(n))
+        else:
+            with pytest.raises(GroupConstructionError):
+                Group(np.array(t), "t")
 
 
 class TestSubgroupFromIndices:
@@ -309,6 +385,10 @@ class TestAssociativityCheck:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert "associativity" in err
+
+    def test_random_loop_without_a_free_intercalate_raises(self):
+        with pytest.raises(ValueError, match="0 of 1 swaps"):
+            random_loop(cyclic_group(4), rng("x"), swaps=1)
 
     def test_ea_2_12_compares_each_row_once(self, monkeypatch):
         """n - 1 rows plus |S|^2 n commutation cells, for the 12 generators."""
