@@ -23,7 +23,14 @@ from .errors import (
     SpecSyntaxError,
     TheoremViolationError,
 )
-from .groups import Group, _check_budget, build_group, enumerate_subgroups, parse_group_spec
+from .groups import (
+    DEFAULT_SIZE_BUDGET,
+    Group,
+    _check_budget,
+    build_group,
+    enumerate_subgroups,
+    parse_group_spec,
+)
 from .reporting import canonical_dumps
 from .rng import SplitRng
 from .sets import GroupSet, parse_fraction, parse_set_spec
@@ -31,7 +38,7 @@ from .sets import GroupSet, parse_fraction, parse_set_spec
 _GROUP_CACHE: dict[str, Group] = {}
 
 
-def get_group(spec_text: str, budget: int = 4096) -> Group:
+def get_group(spec_text: str, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
     """Build the group once per spec; a cached group still honours budget."""
     if spec_text not in _GROUP_CACHE:
         _GROUP_CACHE[spec_text] = build_group(parse_group_spec(spec_text), budget)
@@ -400,7 +407,7 @@ def cmd_bogolyubov(args) -> int:
     a = parse_set_spec(g, args.set)
     rng = SplitRng.from_seed(args.seed).derive("cli:bogolyubov")
     report = pipelines.bogolyubov_bounded_exponent(
-        a, args.mode, args.m, normalize=args.normalize, heuristic_tries=args.budget, rng=rng
+        a, args.mode, args.m, normalize=args.normalize, rng=rng
     )
     _emit(args, report)
     return 0 if report.all_verified else 3
@@ -414,7 +421,6 @@ def cmd_regularity(args) -> int:
         a,
         parse_fraction(args.eps),
         parse_fraction(args.nu),
-        heuristic_tries=args.budget,
         vc_cap=args.vc_cap,
         rng=rng,
     )
@@ -510,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, help="group spec, e.g. cyclic:8 or ea:2^6")
         if with_set:
             p.add_argument("--set", required=True, help="set literal, e.g. interval:0..2")
-        p.add_argument("--size-budget", type=_POSITIVE, default=4096)
+        p.add_argument("--size-budget", type=_POSITIVE, default=DEFAULT_SIZE_BUDGET)
         p.add_argument("--out", default="-")
 
     p = sub.add_parser("group", help="build and inspect a group")
@@ -522,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="growth profile, VC dimension, stabilizer")
     common(p)
     p.add_argument("--eps", default="1/4")
-    p.add_argument("--vc-cap", type=_NONNEGATIVE, default=6)
+    p.add_argument("--vc-cap", type=_NONNEGATIVE, default=vc.DEFAULT_VC_CAP)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("croot-sisask", help="almost-periodicity search")
@@ -539,17 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_NONNEGATIVE, default=4)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_NONNEGATIVE, default=200)
     p.set_defaults(func=cmd_bogolyubov)
 
     p = sub.add_parser("regularity", help="stabilizer-based regularity decomposition")
     common(p)
     p.add_argument("--eps", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--vc-cap", type=_NONNEGATIVE, default=6)
+    p.add_argument("--vc-cap", type=_NONNEGATIVE, default=vc.DEFAULT_VC_CAP)
     p.add_argument("--csv", default=None, help="write the per-coset table as CSV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_NONNEGATIVE, default=200)
     p.set_defaults(func=cmd_regularity)
 
     p = sub.add_parser("bohr-search", help="Bohr witness inside W(A)")
@@ -570,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--trials", type=_NONNEGATIVE, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--jobs", type=_POSITIVE, default=1, help="accepted; trials always run one at a time"
-    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify)
 

@@ -46,7 +46,7 @@ from .sets import (
     power,
     product,
 )
-from .vc import stabilizer_by_threshold, vc_dimension
+from .vc import DEFAULT_VC_CAP, stabilizer_by_threshold, vc_dimension
 
 def _default_rng(rng: SplitRng | None, label: str) -> SplitRng:
     return rng if rng is not None else SplitRng.from_seed(0).derive(label)
@@ -339,7 +339,11 @@ def _largest_first(m: int) -> tuple[int, int]:
     return -m.bit_count(), m
 
 
-def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[int]:
+# Seeded closures the heuristic subgroup search tries.
+HEURISTIC_TRIES = 200
+
+
+def _heuristic_masks(g: Group, region: int, rng: SplitRng) -> list[int]:
     found = cyclic_subgroups_inside(g, region)
     # The region is symmetric, so its right stabilizer, the left one of its
     # inverse, is its left one.
@@ -348,7 +352,7 @@ def _heuristic_masks(g: Group, region: int, tries: int, rng: SplitRng) -> list[i
         found.add(sym)
     pool = sorted(found, key=_largest_first)
     region_elems = [int(i) for i in mask_indices(region, g.order)]
-    for _ in range(tries):
+    for _ in range(HEURISTIC_TRIES):
         base = rng.choice(pool[: min(8, len(pool))])
         x = rng.choice(region_elems)
         if base >> x & 1:
@@ -373,16 +377,13 @@ def _oracle_region(w: GroupSet, ambient: Subgroup) -> int:
 
 
 def subgroup_candidates_inside(
-    w: GroupSet,
-    ambient: Subgroup,
-    heuristic_tries: int = 200,
-    rng: SplitRng | None = None,
+    w: GroupSet, ambient: Subgroup, rng: SplitRng | None = None
 ) -> tuple[list[int], str]:
     """Candidate subgroup masks inside w, largest first, plus the method
     flag: "exhaustive" (every subgroup inside w) for ambients of order <=
     UNBOUNDED_ENUMERATION_LIMIT whose search fits SUBGROUP_JOIN_BUDGET
     joins, else "heuristic" (the cyclic subgroups, w's symmetry group and
-    heuristic_tries seeded closures).  The list search is the oracle's
+    HEURISTIC_TRIES seeded closures).  The list search is the oracle's
     fallback: largest_subgroup_inside answers a w that is itself a subgroup
     without it, at any order."""
     rng = _default_rng(rng, "subgroup-oracle")
@@ -393,14 +394,11 @@ def subgroup_candidates_inside(
             return sorted(subgroups_inside(g, region), key=_largest_first), "exhaustive"
         except FeasibilityError:
             pass
-    return _heuristic_masks(g, region, heuristic_tries, rng), "heuristic"
+    return _heuristic_masks(g, region, rng), "heuristic"
 
 
 def largest_subgroup_inside(
-    w: GroupSet,
-    ambient: Subgroup,
-    heuristic_tries: int = 200,
-    rng: SplitRng | None = None,
+    w: GroupSet, ambient: Subgroup, rng: SplitRng | None = None
 ) -> SubgroupWitness:
     """Largest subgroup of the ambient contained in w, ties broken by the
     least mask.
@@ -410,14 +408,14 @@ def largest_subgroup_inside(
     at any order it is the answer with no search; otherwise it is the first
     of subgroup_candidates_inside, which is "exhaustive" when the search
     fits its order limit and join budget and "heuristic" (best found by
-    seeded closures) when not.
+    HEURISTIC_TRIES seeded closures) when not.
     """
     g = w.group
     region = _oracle_region(w, ambient)
     if kernels.product_mask(g, region, region) == region:
         best, method = region, "exhaustive"
     else:
-        masks, method = subgroup_candidates_inside(w, ambient, heuristic_tries, rng)
+        masks, method = subgroup_candidates_inside(w, ambient, rng)
         best = masks[0]
     sub = Subgroup(g, best)
     if best & ~w.mask:
@@ -461,22 +459,22 @@ def bogolyubov_bounded_exponent(
     mode: str,
     m: int = 4,
     normalize: bool = False,
-    heuristic_tries: int = 200,
     rng: SplitRng | None = None,
 ) -> BogolyubovReport:
     """Find a subgroup inside the mode's containment target W(A).
 
     Runs the almost-periodicity search (n=4) for its trace/covering data and
-    the mode's sets, then the subgroup oracle directly on W; with normalize,
-    the subgroup is replaced by the intersection of its sigma-conjugates and
-    re-verified.
+    the mode's sets, then the subgroup oracle directly on W (rng seeds its
+    HEURISTIC_TRIES closures when the search falls back to them); with
+    normalize, the subgroup is replaced by the intersection of its
+    sigma-conjugates and re-verified.
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
     rng = _default_rng(rng, "bogolyubov")
     _, trace = croot_sisask(a, mode, 4, rng=rng.derive("cs"))
     ms = trace.sets
-    witness = largest_subgroup_inside(ms.w, ms.sigma, heuristic_tries, rng.derive("oracle"))
+    witness = largest_subgroup_inside(ms.w, ms.sigma, rng.derive("oracle"))
     sub = witness.subgroup
     normal_flag: bool | None = None
     if normalize:
@@ -709,18 +707,19 @@ def regularity_decompose(
     a: GroupSet,
     eps: Fraction,
     nu: Fraction,
-    heuristic_tries: int = 200,
-    vc_cap: int = 6,
+    vc_cap: int = DEFAULT_VC_CAP,
     rng: SplitRng | None = None,
 ) -> RegularityReport:
     """Stabilizer-based regularity decomposition with verified postconditions.
 
     Pipeline: d = vc_dimension(A); delta from (eps, nu, d); S = Stab_delta(A);
     escalate B = S^(3^t) until |B^3| <= 3^p |B|; H is the oracle's largest
-    subgroup inside the symmetric region B^4 ∩ Stab_eps(A); then split G into
-    structured cosets D and exceptional cosets Z.  Every reported inequality
-    is re-checked exactly.  PreconditionError when delta > 30 (large eps),
-    where k = (30/delta)^d < 1 and no stabilizer can meet the packing bound.
+    subgroup inside the symmetric region B^4 ∩ Stab_eps(A) (rng seeds its
+    HEURISTIC_TRIES closures when the search falls back to them); then split
+    G into structured cosets D and exceptional cosets Z.  Every reported
+    inequality is re-checked exactly.  PreconditionError when delta > 30
+    (large eps), where k = (30/delta)^d < 1 and no stabilizer can meet the
+    packing bound.
     """
     eps = Fraction(eps)
     nu = Fraction(nu)
@@ -772,9 +771,7 @@ def regularity_decompose(
     t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
     w = power(b, 4)
     stab_eps = GroupSet(g, bools_to_mask(counts <= eps.numerator * n // eps.denominator))
-    witness = largest_subgroup_inside(
-        w & stab_eps, g.whole_subgroup(), heuristic_tries, rng.derive("oracle")
-    )
+    witness = largest_subgroup_inside(w & stab_eps, g.whole_subgroup(), rng.derive("oracle"))
     sub = witness.subgroup
     dec = coset_decomposition(a, sub, eps)
     flags = {

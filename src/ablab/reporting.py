@@ -1,7 +1,7 @@
 """Canonical JSON reports.
 
 Sorted keys, compact separators, rationals in lowest terms as [num, den]:
-identical inputs give byte-identical reports regardless of parallelism.
+identical inputs give byte-identical reports.
 
 A report dataclass is encoded field by field, each under its own name.  A
 field whose key differs says so once in its metadata, built by `as_key`:

@@ -58,7 +58,7 @@ class TorusVec:
         return [[c.numerator, c.denominator] for c in self.coords]
 
 
-def circle_distance(a: Fraction, b: Fraction = Fraction(0)) -> Fraction:
+def circle_distance(a: Fraction, b: Fraction) -> Fraction:
     """Distance to the nearest integer of a-b (arclength on the unit circle)."""
     d = (a - b) % 1
     return min(d, 1 - d)

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import FeasibilityError, PreconditionError, TheoremViolationError
 from .reporting import as_key, digest, jsonable
-from .sets import GroupSet, inverse
+from .sets import GroupSet
 
 DEFAULT_VC_CAP = 6
 # Shattered candidate sets containing the identity that the VC search may
@@ -135,31 +135,29 @@ class StabilizerProfile:
     base: GroupSet = field(metadata=as_key("set_digest", digest))
     epsilon: Fraction
     stabilizer: GroupSet
-    side: str
+    side: str = "left"  # kept for the format: every stabilizer here is left-sided
     density: Fraction
 
 
-def stabilizer_by_threshold(a: GroupSet, threshold: int, side: str = "left") -> GroupSet:
-    """{x : |xA symdiff A| <= threshold} (|Ax symdiff A| when side="right")
-    with an integer threshold.  Inverting, then multiplying on the left by
-    x, gives |Ax symdiff A| = |x^-1 A^-1 symdiff A^-1| = |xA^-1 symdiff A^-1|,
-    so the right stabilizer of A is the left one of A^-1."""
-    if side == "right":
-        return stabilizer_by_threshold(inverse(a), threshold)
+def stabilizer_by_threshold(a: GroupSet, threshold: int) -> GroupSet:
+    """{x : |xA symdiff A| <= threshold} with an integer threshold.
+    Inverting, then multiplying on the left by x, gives
+    |Ax symdiff A| = |x^-1 A^-1 symdiff A^-1| = |xA^-1 symdiff A^-1|, so the
+    right stabilizer of A is the left one of A^-1."""
     counts = kernels.translate_diff_counts(a.group, a.mask)
     return GroupSet(a.group, kernels.bools_to_mask(counts <= threshold))
 
 
-def stabilizer(a: GroupSet, epsilon: Fraction, side: str = "left") -> StabilizerProfile:
+def stabilizer(a: GroupSet, epsilon: Fraction) -> StabilizerProfile:
     """Exact epsilon-stabilizer {x : |xA symdiff A| <= epsilon |G|}: the counts
     are integers, so the threshold floor(epsilon |G|) is exact."""
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise PreconditionError("epsilon must be nonnegative")
     n = a.group.order
-    stab = stabilizer_by_threshold(a, epsilon.numerator * n // epsilon.denominator, side)
+    stab = stabilizer_by_threshold(a, epsilon.numerator * n // epsilon.denominator)
     return StabilizerProfile(
-        base=a, epsilon=epsilon, stabilizer=stab, side=side, density=Fraction(stab.card, n)
+        base=a, epsilon=epsilon, stabilizer=stab, density=Fraction(stab.card, n)
     )
 
 

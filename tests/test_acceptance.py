@@ -19,6 +19,7 @@ from ablab import (
     largest_subgroup_inside,
     regularity_decompose,
 )
+from ablab import cli
 from ablab.cli import (
     main,
     suite_bohr_size,
@@ -199,13 +200,19 @@ class TestOracleEquivalence:
 
 
 class TestDeterminism:
-    def test_6_byte_identical_reports_across_jobs(self, tmp_path):
+    def test_6_byte_identical_reports_with_cold_and_warm_group_cache(
+        self, tmp_path, monkeypatch
+    ):
+        # A run in a fresh process starts with no cached group, lattice or
+        # closure; a later run in the same process reuses all of them.
         pairs = []
         for suite, trials in [("ruzsa", 120), ("lemma82", 40)]:
-            a = tmp_path / f"{suite}-a.json"
-            b = tmp_path / f"{suite}-b.json"
+            a = tmp_path / f"{suite}-cold.json"
+            b = tmp_path / f"{suite}-warm.json"
             base = ["verify", "--suite", suite, "--trials", str(trials), "--seed", "77"]
-            assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
-            assert main(base + ["--jobs", "4", "--out", str(b)]) == 0
+            monkeypatch.setattr(cli, "_GROUP_CACHE", {})
+            assert main(base + ["--out", str(a)]) == 0
+            assert cli._GROUP_CACHE
+            assert main(base + ["--out", str(b)]) == 0
             pairs.append(a.read_bytes() == b.read_bytes())
-        _announce("6", all(pairs), f"{len(pairs)} suites byte-identical across --jobs")
+        _announce("6", all(pairs), f"{len(pairs)} suites byte-identical, cold and warm cache")

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ablab import cli
 from ablab.cli import build_parser, main
 from ablab.sets import parse_set_spec
 from ablab.groups import build_group, parse_group_spec
@@ -79,8 +80,6 @@ class TestParsing:
                 "-3",
             ],
             ["bohr-search", "--group", "cyclic:16", "--set", "interval:0..3", "--budget", "-1"],
-            ["bogolyubov", "--group", "cyclic:8", "--set", "interval:0..2", "--budget", "-1"],
-            ["verify", "--suite", "ruzsa", "--jobs", "-1"],
             ["group", "--group", "cyclic:8", "--subgroups", "--max-index", "0"],
             ["group", "--group", "cyclic:8", "--size-budget", "x"],
         ],
@@ -93,8 +92,6 @@ class TestParsing:
             "vc-cap",
             "regularity-vc-cap",
             "bohr-budget",
-            "bogolyubov-budget",
-            "jobs",
             "max-index",
             "size-budget",
         ],
@@ -123,13 +120,21 @@ class TestParsing:
             ("saturation", "--seed"),
             ("croot-sisask", "--budget"),
             ("bohr-search", "--seed"),
+            ("bogolyubov", "--budget"),
+            ("regularity", "--budget"),
+            ("verify", "--jobs"),
         ],
     )
     def test_options_a_command_does_not_read_exit_2(self, capsys, command, option):
-        argv = [command, "--group", "cyclic:8", "--set", "interval:0..2", option, "1"]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err == f"ablab: parse error: unrecognized arguments: {option} 1\n"
+        required = ["--group", "cyclic:8", "--set", "interval:0..2"]
+        if command == "regularity":
+            required += ["--eps", "1/4", "--nu", "1"]
+        elif command == "verify":
+            required = ["--suite", "regression"]
+        assert run([command, *required, option, "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ablab: parse error: unrecognized arguments: {option} 2\n"
 
     def test_cached_group_still_honours_size_budget(self, capsys, tmp_path):
         out = str(tmp_path / "g.json")
@@ -344,11 +349,15 @@ class TestRegularityEpsDomain:
 
 
 class TestDeterminism:
-    def test_verify_reports_byte_identical_across_jobs(self, tmp_path):
+    def test_verify_reports_byte_identical_with_cold_and_warm_group_cache(
+        self, tmp_path, monkeypatch
+    ):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["verify", "--suite", "ruzsa", "--trials", "60", "--seed", "9"]
-        assert run(args + ["--jobs", "1", "--out", str(a)]) == 0
-        assert run(args + ["--jobs", "4", "--out", str(b)]) == 0
+        monkeypatch.setattr(cli, "_GROUP_CACHE", {})
+        assert run(args + ["--out", str(a)]) == 0
+        assert set(cli._GROUP_CACHE) == set(cli.RUZSA_ZOO)
+        assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_same_seed_same_bytes(self, tmp_path):

@@ -60,6 +60,12 @@ CLI_CASES = {
     "bogolyubov_ea10_tripling_heuristic": (
         "bogolyubov --group ea:2^10 --set random:density=1/2,seed=1 --mode tripling"
     ),
+    "bogolyubov_ea10_random64_heuristic": (
+        "bogolyubov --group ea:2^10 --set random:density=1/64,seed=1 --mode tripling"
+    ),
+    "regularity_cyclic1024_interval_heuristic": (
+        "regularity --group cyclic:1024 --set interval:0..300 --eps 1/4 --nu 1"
+    ),
     "regularity_sym4_random": (
         "regularity --group sym:4 --set random:density=1/2,seed=1 --eps 1/4 --nu 1"
     ),

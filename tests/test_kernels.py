@@ -48,6 +48,7 @@ from ablab import (
 )
 from ablab import kernels
 from ablab.pipelines import coset_masks
+from ablab.sets import inverse
 from ablab.vc import stabilizer_by_threshold
 
 from conftest import (
@@ -87,13 +88,14 @@ def brute_diff_counts(g, members: set[int], side: str) -> list[int]:
 def diff_counts(a: GroupSet, side: str) -> list[int]:
     """|xA symdiff A| (|Ax symdiff A| when side="right") for every x: on the
     left from kernels.translate_diff_counts; on the right the least threshold
-    t whose right stabilizer holds x, over every t in 0..|G|."""
+    t whose right stabilizer, the left one of A^-1, holds x, over every t in
+    0..|G|."""
     g = a.group
     if side == "left":
         return kernels.translate_diff_counts(g, a.mask).tolist()
     counts = [None] * g.order
     for t in range(g.order + 1):
-        for x in stabilizer_by_threshold(a, t, "right"):
+        for x in stabilizer_by_threshold(inverse(a), t):
             if counts[x] is None:
                 counts[x] = t
     return counts
@@ -201,7 +203,7 @@ class TestRightHandPaths:
             a = random_nonempty(g, r, density)
             for t in range(g.order + 1):
                 with small_blocks(g):
-                    got = stabilizer_by_threshold(a, t, "right")
+                    got = stabilizer_by_threshold(inverse(a), t)
                 assert set(got) == brute_stabilizer(g, a, t, "right")
 
     def test_right_translate(self, g):
@@ -403,7 +405,7 @@ def test_small_block_products_and_counts_match_brute_force(label, rows, data):
     with small_blocks(g, rows):
         xy, yx = product(x, y), product(y, x)
         left = kernels.translate_diff_counts(g, x.mask)
-        right = stabilizer_by_threshold(x, t, "right")
+        right = stabilizer_by_threshold(inverse(x), t)
         xe = right_translate(x, e)
     assert set(xy) == brute_product(g, set(x), set(y))
     assert set(yx) == brute_product(g, set(y), set(x))

@@ -22,7 +22,7 @@ from ablab import (
     vc_dimension,
 )
 from ablab.cli import main
-from ablab.sets import parse_set_spec
+from ablab.sets import inverse, parse_set_spec
 from ablab.vc import VcResult, stabilizer_by_threshold
 
 from conftest import (
@@ -210,14 +210,16 @@ class TestStabilizer:
     @pytest.mark.parametrize("eps", [F(0), F(1, 3), F(1, 4), F(1)])
     def test_both_thresholdings_match_plain_loop(self, name, side, eps):
         # eps = 1/3 makes eps |G| a non-integer, where floor(eps |G|) is used.
+        # The right stabilizer of A is the left one of A^-1.
         g = STAB_ZOO[name]
         r = rng(f"stab-threshold-{name}-{side}-{eps}")
         for density in (F(1, 4), F(1, 2), F(3, 4)):
             a = random_nonempty(g, r, density)
             want = brute_stabilizer(g, a, eps * g.order, side)
-            assert set(stabilizer(a, eps, side).stabilizer) == want
+            left = a if side == "left" else inverse(a)
+            assert set(stabilizer(left, eps).stabilizer) == want
             threshold = eps.numerator * g.order // eps.denominator
-            assert set(stabilizer_by_threshold(a, threshold, side)) == want
+            assert set(stabilizer_by_threshold(left, threshold)) == want
 
     def test_subgroup_small_eps(self, c12):
         h = subgroup_from_indices(c12, [0, 4, 8])
@@ -264,18 +266,6 @@ class TestStabilizer:
         for x in s:
             for y in s:
                 assert d6.mul(x, y) in s2
-
-    def test_right_side_variant(self, d6):
-        r = rng("stab-side")
-        a = random_nonempty(d6, r, F(1, 2))
-        right = stabilizer(a, F(1, 4), side="right").stabilizer
-        members = set(a)
-        expect = {
-            x
-            for x in range(d6.order)
-            if len({d6.mul(y, x) for y in members} ^ members) * 4 <= d6.order
-        }
-        assert set(right) == expect
 
 
 class TestHausslerCheck:
