@@ -1,7 +1,7 @@
 """Low-level bit-vector kernels over a group's multiplication table.
 
 Sets are integer bitmasks (bit i <=> element i).  Heavy operations go through
-numpy boolean gathers on cached table rows; everything is exact.
+numpy gathers of translate rows, as bools or packed to words; all exact.
 """
 
 from __future__ import annotations
@@ -152,11 +152,16 @@ def closure_mask(group, seed_mask: int) -> int:
     return kmask
 
 
-def translate_diff_counts(group, mask: int) -> np.ndarray:
-    """|gA symdiff A| for every g."""
+def translate_words(group, bits: np.ndarray) -> np.ndarray:
+    """(n, ceil(n/64)) uint64 matrix: row g packs gS (np.packbits order), zero-padded."""
     n = group.order
-    bits = mask_to_bools(mask, n)
-    counts = np.empty(n, dtype=np.int64)
+    words = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     for block, rows in translate_rows(group, bits, np.arange(n)):
-        counts[block] = (rows ^ bits).sum(axis=1)
-    return counts
+        words.view(np.uint8)[block, : (n + 7) // 8] = np.packbits(rows, axis=1)
+        del rows  # free the block before the next gather
+    return words
+
+
+def translate_diff_counts(words: np.ndarray) -> np.ndarray:
+    """|gA symdiff A| for every g, from A's translate_words (row 0 is A)."""
+    return np.bitwise_count(words ^ words[0]).sum(axis=1)

@@ -345,11 +345,9 @@ HEURISTIC_TRIES = 200
 
 def _heuristic_masks(g: Group, region: int, rng: SplitRng) -> list[int]:
     found = cyclic_subgroups_inside(g, region)
-    # The region is symmetric, so its right stabilizer, the left one of its
-    # inverse, is its left one.
-    sym = stabilizer_by_threshold(GroupSet(g, region), 0).mask
-    if not sym & ~region:
-        found.add(sym)
+    # The region holds 0, so xW = W puts x in W: its symmetry group lies in
+    # it.  W is symmetric, so its right stabilizer is its left one.
+    found.add(stabilizer_by_threshold(GroupSet(g, region), 0).mask)
     pool = sorted(found, key=_largest_first)
     region_elems = [int(i) for i in mask_indices(region, g.order)]
     for _ in range(HEURISTIC_TRIES):
@@ -745,9 +743,8 @@ def regularity_decompose(
             f"eps = {eps} too large: delta > 30 makes the packing bound (30/delta)^{d} < 1"
         )
     p = Fraction(d) * (d + nu) / nu
-    # One gather of A's translates serves Stab_delta(A) and Stab_eps(A).
-    counts = kernels.translate_diff_counts(g, a.mask)
-    s = GroupSet(g, bools_to_mask(counts <= threshold))
+    # The translates vc_dimension gathered serve Stab_delta(A) and Stab_eps(A).
+    s = stabilizer_by_threshold(a, threshold)
     haussler_ok = Fraction(s.card) ** vb * kpow >= Fraction(n) ** vb
     if not haussler_ok:
         raise TheoremViolationError(
@@ -770,7 +767,7 @@ def regularity_decompose(
     # t <= log_{3^p} k, checked with integer exponents only
     t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
     w = power(b, 4)
-    stab_eps = GroupSet(g, bools_to_mask(counts <= eps.numerator * n // eps.denominator))
+    stab_eps = stabilizer_by_threshold(a, eps.numerator * n // eps.denominator)
     witness = largest_subgroup_inside(w & stab_eps, g.whole_subgroup(), rng.derive("oracle"))
     sub = witness.subgroup
     dec = coset_decomposition(a, sub, eps)

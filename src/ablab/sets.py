@@ -34,7 +34,7 @@ from .rng import SplitRng
 class GroupSet:
     """Immutable subset of a fixed finite group, stored as an int bitmask."""
 
-    __slots__ = ("group", "mask", "_bools")
+    __slots__ = ("group", "mask", "_bools", "_translates")
 
     def __init__(self, group: Group, mask: int):
         if mask < 0 or mask >> group.order:
@@ -42,6 +42,7 @@ class GroupSet:
         self.group = group
         self.mask = mask
         self._bools: np.ndarray | None = None
+        self._translates: np.ndarray | None = None
 
     @classmethod
     def from_indices(cls, group: Group, indices) -> "GroupSet":
@@ -71,6 +72,14 @@ class GroupSet:
             b.setflags(write=False)
             self._bools = b
         return self._bools
+
+    @property
+    def translates(self) -> np.ndarray:
+        """Row g is gA, packed (kernels.translate_words); gathered once."""
+        if self._translates is None:
+            self._translates = kernels.translate_words(self.group, self.bools)
+            self._translates.setflags(write=False)
+        return self._translates
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bools)

@@ -41,18 +41,6 @@ class VcResult:
     witness: tuple[int, ...]
 
 
-def _distinct_translate_rows(a: GroupSet) -> np.ndarray:
-    """The distinct translates gA as rows of 64-bit words, bit-packed as each
-    block is gathered and deduplicated as one void value each."""
-    n = a.group.order
-    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-    for block, r in kernels.translate_rows(a.group, a.bools, np.arange(n)):
-        packed[block, : (n + 7) // 8] = np.packbits(r, axis=1)
-        del r  # free the block before the next gather
-    rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))))
-    return rows.view(np.uint64).reshape(len(rows), -1)
-
-
 def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
     """Largest d <= cap such that some d-element set is shattered by {gA}.
 
@@ -69,7 +57,8 @@ def vc_dimension(a: GroupSet, cap: int = DEFAULT_VC_CAP) -> VcResult:
     are found at one depth.
     """
     n = a.group.order
-    rows = _distinct_translate_rows(a)
+    width = a.translates.shape[1]  # words per row; np.unique sees each as one void
+    rows = np.unique(a.translates.view(f"V{8 * width}")).view(np.uint64).reshape(-1, width)
     if len(rows) <= 1 or cap < 1:
         return VcResult(value=0, cap_hit=len(rows) > 1, witness=())
     top = min(cap, len(rows).bit_length() - 1)  # 2^d traces need 2^d rows
@@ -144,7 +133,7 @@ def stabilizer_by_threshold(a: GroupSet, threshold: int) -> GroupSet:
     Inverting, then multiplying on the left by x, gives
     |Ax symdiff A| = |x^-1 A^-1 symdiff A^-1| = |xA^-1 symdiff A^-1|, so the
     right stabilizer of A is the left one of A^-1."""
-    counts = kernels.translate_diff_counts(a.group, a.mask)
+    counts = kernels.translate_diff_counts(a.translates)
     return GroupSet(a.group, kernels.bools_to_mask(counts <= threshold))
 
 

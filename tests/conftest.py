@@ -77,6 +77,22 @@ def small_zoo(c8, c12, ea24, d6, s4) -> list[Group]:
     return [c8, c12, ea24, d6, s4]
 
 
+@pytest.fixture
+def translate_gathers(monkeypatch) -> list:
+    """The set mask of every kernels.translate_words gather from then on."""
+    from ablab import kernels
+
+    gathered = []
+    real = kernels.translate_words
+
+    def counted(group, bits):
+        gathered.append(kernels.bools_to_mask(bits))
+        return real(group, bits)
+
+    monkeypatch.setattr(kernels, "translate_words", counted)
+    return gathered
+
+
 def rng(label: str, seed: int = 0) -> SplitRng:
     return SplitRng.from_seed(seed).derive(label)
 

@@ -29,7 +29,7 @@ from ablab import (
     regularity_decompose,
     right_translate,
 )
-from ablab import groups, kernels, pipelines
+from ablab import groups, pipelines
 from ablab.pipelines import mode_sets, subgroup_candidates_inside
 
 from conftest import brute_coset_decomposition, brute_right_cosets, rng
@@ -163,15 +163,11 @@ def test_one_coset_walk_per_regularity_decompose(coset_walks):
         assert coset_walks == [rep.subgroup.mask]
 
 
-def test_heuristic_oracle_computes_one_stabilizer(monkeypatch):
+def test_heuristic_oracle_computes_one_stabilizer(translate_gathers):
     """The container is symmetric, so its right stabilizer is its left one:
-    one translate_diff_counts call per heuristic oracle call."""
-    calls = []
-    counts = kernels.translate_diff_counts
-    monkeypatch.setattr(
-        kernels, "translate_diff_counts", lambda g, m: calls.append(m) or counts(g, m)
-    )
+    one translate_words gather of the container per heuristic oracle call."""
     g = group("ea:2^10")
     ms = mode_sets(parse_set_spec(g, "random:density=1/2,seed=1"), "tripling")
+    translate_gathers.clear()
     _, method = subgroup_candidates_inside(ms.w, ms.sigma)
-    assert method == "heuristic" and calls == [ms.w.mask]
+    assert method == "heuristic" and translate_gathers == [ms.w.mask]

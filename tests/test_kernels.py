@@ -5,7 +5,10 @@ Every translate-row gather goes through kernels.translate_rows, whose blocks
 hold at most kernels._CHUNK_CELLS cells.  At the default bound no zoo group
 splits a gather, so these tests shrink the bound to three rows per block and
 check the kernels and their callers against plain-loop oracles and against
-the results at the default bound.
+the results at the default bound.  kernels.translate_words packs a set's
+whole translate family from those blocks; its rows, padding and the
+translate_diff_counts read from it are also checked on sym:5 and cyclic:13,
+whose rows are not one partly padded word.
 
 translate_rows gathers left translates gS only.  Every right-hand operation
 is a left-hand one conjugated by inversion, Sg = (g^-1 S^-1)^-1: products
@@ -66,6 +69,13 @@ ZOO = {
     "dihedral:6": dihedral_group(6),
     "sym:4": symmetric_group(4),
 }
+# The zoo, in fixture order, and groups whose packed translate rows are not
+# one partly padded word: sym:5's 120 bits span two words with a partial last
+# one, and cyclic:13 has an odd order.
+PACKED_ZOO = {k: ZOO[k] for k in sorted(ZOO)} | {
+    "sym:5": symmetric_group(5),
+    "cyclic:13": cyclic_group(13),
+}
 ROWS_PER_BLOCK = 3
 
 
@@ -87,12 +97,13 @@ def brute_diff_counts(g, members: set[int], side: str) -> list[int]:
 
 def diff_counts(a: GroupSet, side: str) -> list[int]:
     """|xA symdiff A| (|Ax symdiff A| when side="right") for every x: on the
-    left from kernels.translate_diff_counts; on the right the least threshold
+    left from kernels.translate_diff_counts of a fresh translate_words gather
+    (not the set's cached one); on the right the least threshold
     t whose right stabilizer, the left one of A^-1, holds x, over every t in
     0..|G|."""
     g = a.group
     if side == "left":
-        return kernels.translate_diff_counts(g, a.mask).tolist()
+        return kernels.translate_diff_counts(kernels.translate_words(g, a.bools)).tolist()
     counts = [None] * g.order
     for t in range(g.order + 1):
         for x in stabilizer_by_threshold(inverse(a), t):
@@ -130,6 +141,19 @@ class TestTranslateRows:
                     want = {g.mul(s, t) for s in members}
                 assert set(np.flatnonzero(row).tolist()) == want
 
+    @pytest.mark.parametrize("g", PACKED_ZOO.values(), ids=PACKED_ZOO)
+    def test_words_are_packed_translates(self, g):
+        a = random_nonempty(g, rng(f"words-{g.label}"), F(1, 2))
+        members = set(a)
+        with small_blocks(g):
+            words = kernels.translate_words(g, a.bools)
+        assert words.dtype == np.uint64 and words.shape == (g.order, -(-g.order // 64))
+        assert np.array_equal(words, kernels.translate_words(g, a.bools))
+        bits = np.unpackbits(words.view(np.uint8), axis=1)
+        assert not bits[:, g.order :].any()
+        for t in range(g.order):
+            assert set(np.flatnonzero(bits[t]).tolist()) == {g.mul(t, s) for s in members}
+
 
 class TestSmallBlocks:
     def test_product_matches_brute_product(self, g):
@@ -145,6 +169,7 @@ class TestSmallBlocks:
             assert set(small) == brute_product(g, set(x), set(y))
 
     @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("g", PACKED_ZOO.values(), ids=PACKED_ZOO)
     def test_translate_diff_counts_match_a_plain_loop(self, g, side):
         r = rng(f"diff-{g.label}-{side}")
         for _ in range(6):
@@ -171,7 +196,8 @@ class TestSmallBlocks:
             a = random_nonempty(g, r, F(1, 2))
             default = vc_dimension(a, cap=4)
             with small_blocks(g):
-                small = vc_dimension(a, cap=4)
+                # A fresh copy of A, so the gather is not read from a's cache.
+                small = vc_dimension(GroupSet(g, a.mask), cap=4)
             assert small == default == levelwise_vc_dimension(a, 4)
 
     @pytest.mark.parametrize("mode", ["alternation", "tripling"])
@@ -404,7 +430,7 @@ def test_small_block_products_and_counts_match_brute_force(label, rows, data):
     e = data.draw(st.integers(0, g.order - 1))
     with small_blocks(g, rows):
         xy, yx = product(x, y), product(y, x)
-        left = kernels.translate_diff_counts(g, x.mask)
+        left = kernels.translate_diff_counts(kernels.translate_words(g, x.bools))
         right = stabilizer_by_threshold(inverse(x), t)
         xe = right_translate(x, e)
     assert set(xy) == brute_product(g, set(x), set(y))

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,7 +112,7 @@ class TestAnchoredSearch:
             for _ in range(3):
                 a = random_nonempty(g, r, density)
                 translates = {frozenset(g.mul(t, x) for x in a) for t in range(g.order)}
-                assert len(ablab.vc._distinct_translate_rows(a)) == len(translates)
+                assert len(np.unique(a.translates, axis=0)) == len(translates)
                 for cap in range(6):
                     mine = vc_dimension(a, cap)
                     assert mine == levelwise_vc_dimension(a, cap)
@@ -285,6 +286,20 @@ class TestHausslerCheck:
     def test_inconclusive_when_cap_hit(self, c8):
         rep = haussler_check(GroupSet.from_indices(c8, [0, 1]), F(1, 4), cap=1)
         assert rep.cap_hit and rep.ok is None
+
+    def test_one_translate_gather_per_check(self, translate_gathers, d6):
+        # The VC search and Stab_delta(A) read the same gather of A.
+        a = random_nonempty(d6, rng("haussler-gather"), F(1, 2))
+        haussler_check(a, F(1, 4))
+        assert translate_gathers == [a.mask]
+
+    def test_one_translate_gather_per_diagnose(self, translate_gathers, capsys):
+        spec = "random:density=1/2,seed=1"
+        assert main(["diagnose", "--group", "ea:2^8", "--set", spec, "--vc-cap", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["vc"]["vc_dim"] == 3 and report["stabilizer"]
+        g = build_group(parse_group_spec("ea:2^8"))
+        assert translate_gathers == [parse_set_spec(g, spec).mask]
 
     def test_delta_bounds(self, c8):
         with pytest.raises(PreconditionError):
