@@ -37,8 +37,11 @@ def _sublevel_mask(
     elems: np.ndarray, dev: np.ndarray, den: int, bound: Fraction, n: int
 ) -> int:
     """Mask of the elems[i] (indices below n) with dev[i] / den < bound,
-    exact comparison."""
-    return indices_to_mask(elems[dev * bound.denominator < bound.numerator * den], n)
+    exact comparison: an integer dev is below bound * den iff it is below
+    c = ceil(bound * den), formed in Python integers.  dev <= den / 2, so
+    clamping c to den + 1 keeps the int64 comparison exact."""
+    c = min(-(-bound.numerator * den // bound.denominator), den + 1)
+    return indices_to_mask(elems[dev < c], n)
 
 
 def _sup_sublevel_set(f: TorusMap, bound: Fraction) -> GroupSet:

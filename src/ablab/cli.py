@@ -30,6 +30,7 @@ from .groups import (
     build_group,
     enumerate_subgroups,
     parse_group_spec,
+    subgroups_inside,
 )
 from .reporting import canonical_dumps
 from .rng import SplitRng
@@ -193,7 +194,7 @@ def suite_lemma82(rng: SplitRng, trials: int) -> dict:
         )
         eps = r.choice(_LEMMA82_EPS)
         stab = vc.stabilizer(a, eps).stabilizer
-        masks, _ = pipelines.subgroup_candidates_inside(stab, g.whole_subgroup())
+        masks = sorted(subgroups_inside(g, stab.mask), key=pipelines._largest_first)
         hmask = masks[min(r.randint(0, 2), len(masks) - 1)]
         h = pipelines.Subgroup(g, hmask, verify=False)
         if all(pipelines.coset_decomposition(a, h, eps).flags.values()):
@@ -405,10 +406,7 @@ def cmd_croot_sisask(args) -> int:
 def cmd_bogolyubov(args) -> int:
     g = get_group(args.group, args.size_budget)
     a = parse_set_spec(g, args.set)
-    rng = SplitRng.from_seed(args.seed).derive("cli:bogolyubov")
-    report = pipelines.bogolyubov_bounded_exponent(
-        a, args.mode, args.m, normalize=args.normalize, rng=rng
-    )
+    report = pipelines.bogolyubov_bounded_exponent(a, args.mode, args.m, normalize=args.normalize)
     _emit(args, report)
     return 0 if report.all_verified else 3
 
@@ -416,13 +414,8 @@ def cmd_bogolyubov(args) -> int:
 def cmd_regularity(args) -> int:
     g = get_group(args.group, args.size_budget)
     a = parse_set_spec(g, args.set)
-    rng = SplitRng.from_seed(args.seed).derive("cli:regularity")
     report = pipelines.regularity_decompose(
-        a,
-        parse_fraction(args.eps),
-        parse_fraction(args.nu),
-        vc_cap=args.vc_cap,
-        rng=rng,
+        a, parse_fraction(args.eps), parse_fraction(args.nu), vc_cap=args.vc_cap
     )
     # Open the CSV first, so an unwritable path stops the run before any report.
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
@@ -544,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
     p.add_argument("--m", type=_NONNEGATIVE, default=4)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bogolyubov)
 
     p = sub.add_parser("regularity", help="stabilizer-based regularity decomposition")
@@ -553,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--vc-cap", type=_NONNEGATIVE, default=vc.DEFAULT_VC_CAP)
     p.add_argument("--csv", default=None, help="write the per-coset table as CSV")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_regularity)
 
     p = sub.add_parser("bohr-search", help="Bohr witness inside W(A)")

@@ -48,10 +48,6 @@ from .sets import (
 )
 from .vc import DEFAULT_VC_CAP, stabilizer_by_threshold, vc_dimension
 
-def _default_rng(rng: SplitRng | None, label: str) -> SplitRng:
-    return rng if rng is not None else SplitRng.from_seed(0).derive(label)
-
-
 # --- mode bookkeeping ---------------------------------------------------------
 
 
@@ -264,7 +260,7 @@ def croot_sisask(
         raise EmptySetError("croot_sisask needs a nonempty set")
     if n < 1:
         raise PreconditionError("n must be a positive integer")
-    rng = _default_rng(rng, "croot-sisask")
+    rng = rng if rng is not None else SplitRng.from_seed(0).derive("croot-sisask")
     ms = mode_sets(x, mode)
     g = x.group
     letters = {"+": x, "-": inverse(x)}
@@ -339,11 +335,13 @@ def _largest_first(m: int) -> tuple[int, int]:
     return -m.bit_count(), m
 
 
-# Seeded closures the heuristic subgroup search tries.
+# Closures the heuristic subgroup search tries, drawn from one fixed stream
+# made fresh on every call, so its answer depends on the region alone.
 HEURISTIC_TRIES = 200
 
 
-def _heuristic_masks(g: Group, region: int, rng: SplitRng) -> list[int]:
+def _heuristic_masks(g: Group, region: int) -> list[int]:
+    rng = SplitRng.from_seed(0).derive("subgroup-oracle")
     found = cyclic_subgroups_inside(g, region)
     # The region holds 0, so xW = W puts x in W: its symmetry group lies in
     # it.  W is symmetric, so its right stabilizer is its left one.
@@ -374,17 +372,14 @@ def _oracle_region(w: GroupSet, ambient: Subgroup) -> int:
     return w.mask
 
 
-def subgroup_candidates_inside(
-    w: GroupSet, ambient: Subgroup, rng: SplitRng | None = None
-) -> tuple[list[int], str]:
+def subgroup_candidates_inside(w: GroupSet, ambient: Subgroup) -> tuple[list[int], str]:
     """Candidate subgroup masks inside w, largest first, plus the method
     flag: "exhaustive" (every subgroup inside w) for ambients of order <=
     UNBOUNDED_ENUMERATION_LIMIT whose search fits SUBGROUP_JOIN_BUDGET
     joins, else "heuristic" (the cyclic subgroups, w's symmetry group and
-    HEURISTIC_TRIES seeded closures).  The list search is the oracle's
-    fallback: largest_subgroup_inside answers a w that is itself a subgroup
-    without it, at any order."""
-    rng = _default_rng(rng, "subgroup-oracle")
+    HEURISTIC_TRIES closures from a fixed stream, so a function of w).  The
+    list search is the oracle's fallback: largest_subgroup_inside answers a
+    w that is itself a subgroup without it, at any order."""
     g = w.group
     region = _oracle_region(w, ambient)
     if ambient.order <= UNBOUNDED_ENUMERATION_LIMIT:
@@ -392,12 +387,10 @@ def subgroup_candidates_inside(
             return sorted(subgroups_inside(g, region), key=_largest_first), "exhaustive"
         except FeasibilityError:
             pass
-    return _heuristic_masks(g, region, rng), "heuristic"
+    return _heuristic_masks(g, region), "heuristic"
 
 
-def largest_subgroup_inside(
-    w: GroupSet, ambient: Subgroup, rng: SplitRng | None = None
-) -> SubgroupWitness:
+def largest_subgroup_inside(w: GroupSet, ambient: Subgroup) -> SubgroupWitness:
     """Largest subgroup of the ambient contained in w, ties broken by the
     least mask.
 
@@ -406,14 +399,14 @@ def largest_subgroup_inside(
     at any order it is the answer with no search; otherwise it is the first
     of subgroup_candidates_inside, which is "exhaustive" when the search
     fits its order limit and join budget and "heuristic" (best found by
-    HEURISTIC_TRIES seeded closures) when not.
+    HEURISTIC_TRIES closures from a fixed stream) when not.
     """
     g = w.group
     region = _oracle_region(w, ambient)
     if kernels.product_mask(g, region, region) == region:
         best, method = region, "exhaustive"
     else:
-        masks, method = subgroup_candidates_inside(w, ambient, rng)
+        masks, method = subgroup_candidates_inside(w, ambient)
         best = masks[0]
     sub = Subgroup(g, best)
     if best & ~w.mask:
@@ -457,22 +450,19 @@ def bogolyubov_bounded_exponent(
     mode: str,
     m: int = 4,
     normalize: bool = False,
-    rng: SplitRng | None = None,
 ) -> BogolyubovReport:
     """Find a subgroup inside the mode's containment target W(A).
 
     Runs the almost-periodicity search (n=4) for its trace/covering data and
-    the mode's sets, then the subgroup oracle directly on W (rng seeds its
-    HEURISTIC_TRIES closures when the search falls back to them); with
-    normalize, the subgroup is replaced by the intersection of its
-    sigma-conjugates and re-verified.
+    the mode's sets, then the subgroup oracle directly on W, whose answer
+    depends on W alone; with normalize, the subgroup is replaced by the
+    intersection of its sigma-conjugates and re-verified.
     """
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    rng = _default_rng(rng, "bogolyubov")
-    _, trace = croot_sisask(a, mode, 4, rng=rng.derive("cs"))
+    _, trace = croot_sisask(a, mode, 4)
     ms = trace.sets
-    witness = largest_subgroup_inside(ms.w, ms.sigma, rng.derive("oracle"))
+    witness = largest_subgroup_inside(ms.w, ms.sigma)
     sub = witness.subgroup
     normal_flag: bool | None = None
     if normalize:
@@ -706,15 +696,13 @@ def regularity_decompose(
     eps: Fraction,
     nu: Fraction,
     vc_cap: int = DEFAULT_VC_CAP,
-    rng: SplitRng | None = None,
 ) -> RegularityReport:
     """Stabilizer-based regularity decomposition with verified postconditions.
 
     Pipeline: d = vc_dimension(A); delta from (eps, nu, d); S = Stab_delta(A);
     escalate B = S^(3^t) until |B^3| <= 3^p |B|; H is the oracle's largest
-    subgroup inside the symmetric region B^4 ∩ Stab_eps(A) (rng seeds its
-    HEURISTIC_TRIES closures when the search falls back to them); then split
-    G into structured cosets D and exceptional cosets Z.  Every reported
+    subgroup inside the symmetric region B^4 ∩ Stab_eps(A); then split G
+    into structured cosets D and exceptional cosets Z.  Every reported
     inequality is re-checked exactly.  PreconditionError when delta > 30
     (large eps), where k = (30/delta)^d < 1 and no stabilizer can meet the
     packing bound.
@@ -723,7 +711,6 @@ def regularity_decompose(
     nu = Fraction(nu)
     if eps <= 0 or nu <= 0:
         raise PreconditionError("eps and nu must be positive rationals")
-    rng = _default_rng(rng, "regularity")
     g = a.group
     n = g.order
     vc = vc_dimension(a, vc_cap)
@@ -768,7 +755,7 @@ def regularity_decompose(
     t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
     w = power(b, 4)
     stab_eps = stabilizer_by_threshold(a, eps.numerator * n // eps.denominator)
-    witness = largest_subgroup_inside(w & stab_eps, g.whole_subgroup(), rng.derive("oracle"))
+    witness = largest_subgroup_inside(w & stab_eps, g.whole_subgroup())
     sub = witness.subgroup
     dec = coset_decomposition(a, sub, eps)
     flags = {

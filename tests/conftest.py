@@ -104,10 +104,10 @@ def random_nonempty(g: Group, r: SplitRng, density=Fraction(1, 3)) -> GroupSet:
     return GroupSet(g, mask)
 
 
-def planted_coset_union(g: Group, i: int) -> tuple[int, GroupSet, SplitRng]:
+def planted_coset_union(g: Group, i: int) -> tuple[int, GroupSet]:
     """The i-th set of acceptance 4 in ea(2,10): the union of two right
     cosets of a planted index-8 subgroup K, one point flipped when i < 6.
-    Returns K's mask, the set and the RNG the trial goes on with."""
+    Returns K's mask and the set."""
     r = SplitRng.from_seed(404).derive(f"acc-4-{i}")
     kmask = 0
     while kmask.bit_count() != 128:
@@ -121,7 +121,7 @@ def planted_coset_union(g: Group, i: int) -> tuple[int, GroupSet, SplitRng]:
     a = right_translate(k, r1) | right_translate(k, r2)
     if i < 6:  # perturbed trials
         a = a ^ GroupSet.from_indices(g, [r.randint(0, 1023)])
-    return kmask, a, r
+    return kmask, a
 
 
 # --- independent oracles ------------------------------------------------------

@@ -146,8 +146,8 @@ class TestRegularityEndToEnd:
         recovered = 0
         successes = 0
         for i in range(20):
-            kmask, a, r = planted_coset_union(g, i)
-            rep = regularity_decompose(a, F(1, 4), F(1), rng=r.derive("pipe"))
+            kmask, a = planted_coset_union(g, i)
+            rep = regularity_decompose(a, F(1, 4), F(1))
             if rep.success:
                 successes += 1
                 assert all(rep.flags.values())

@@ -121,7 +121,9 @@ class TestParsing:
             ("croot-sisask", "--budget"),
             ("bohr-search", "--seed"),
             ("bogolyubov", "--budget"),
+            ("bogolyubov", "--seed"),
             ("regularity", "--budget"),
+            ("regularity", "--seed"),
             ("verify", "--jobs"),
         ],
     )
@@ -292,6 +294,15 @@ class TestCommands:
             "ablab: budget/cap exhausted: Bohr witness search exceeded 20"
             " character maps at dimension 2\n"
         )
+
+    @pytest.mark.parametrize("deltas", ["1/99999999999999999999", "1e-400", "1/9223372036854775808"])
+    def test_bohr_deltas_beyond_int64_give_one_report(self, capsys, deltas):
+        argv = ["bohr-search", "--group", "cyclic:16", "--set", "interval:0..3"]
+        assert run(argv + ["--deltas", deltas]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        witness = json.loads(out)["witness"]
+        assert witness["bohr"]["elems"] == [0]  # only the kernel is that close to 0
 
     def test_bogolyubov_command(self, tmp_path):
         out = tmp_path / "bg.json"

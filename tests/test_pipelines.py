@@ -36,6 +36,7 @@ from ablab.pipelines import (
     subgroup_candidates_inside,
 )
 from ablab.reporting import jsonable
+from ablab.sets import parse_set_spec
 
 from conftest import (
     brute_power,
@@ -49,13 +50,13 @@ from conftest import (
 
 @pytest.fixture
 def heuristic_calls(monkeypatch) -> list:
-    """The subgroup oracle's seeded-closure searches from then on."""
+    """The regions the subgroup oracle's heuristic closures search from then on."""
     calls = []
     real = pipelines._heuristic_masks
 
-    def counted(*args):
-        calls.append(args[1:])
-        return real(*args)
+    def counted(g, region):
+        calls.append(region)
+        return real(g, region)
 
     monkeypatch.setattr(pipelines, "_heuristic_masks", counted)
     return calls
@@ -222,13 +223,14 @@ class TestLargestSubgroupInside:
 
     def test_heuristic_on_large_group(self):
         # Above order 512 a region that is not a subgroup is searched by
-        # seeded closures: k plus one involution outside it.
+        # closures from the oracle's fixed stream: k plus one involution
+        # outside it.
         g = elementary_abelian_group(2, 10)
         k = g.closure(0b1110)  # small subgroup
         w = GroupSet(g, k | 1 << 16)
         wit = largest_subgroup_inside(w, g.whole_subgroup())
         assert wit.method == "heuristic"
-        assert wit.subgroup.mask == k  # the seeded closures find it exactly
+        assert wit.subgroup.mask == k  # the closures find it exactly
 
     def test_subgroup_region_on_large_group_is_exhaustive(self, heuristic_calls):
         # W W = W proves a region a subgroup at any order, with no search.
@@ -247,6 +249,17 @@ class TestBogolyubov:
         assert rep.witness.subgroup.mask == h.mask
         assert rep.witness.index == 1 and rep.witness.cover_count == 1
         assert rep.h_in_w and rep.h_in_double
+
+    def test_large_group_witness_is_the_oracle_answer_on_w(self):
+        # The heuristic golden's input: W(A) is not a subgroup at order 1024,
+        # so the heuristic answers, and its closures depend on W alone.
+        g = elementary_abelian_group(2, 10)
+        rep = bogolyubov_bounded_exponent(parse_set_spec(g, "random:density=1/64,seed=1"), "tripling")
+        ms = rep.trace.sets
+        for _ in range(2):
+            direct = largest_subgroup_inside(ms.w, ms.sigma)
+            assert (direct.subgroup, direct.method) == (rep.witness.subgroup, rep.witness.method)
+        assert rep.witness.method == "heuristic" and rep.witness.subgroup.order == 128
 
     def test_dense_random_f26_meets_effective_bound(self, ea26):
         r = rng("bogo-dense")
@@ -448,8 +461,8 @@ class TestRegularityPipeline:
         # product check answers each exactly at order 1024.
         g = elementary_abelian_group(2, 10)
         for i in range(20):
-            kmask, a, r = planted_coset_union(g, i)
-            rep = regularity_decompose(a, F(1, 4), F(1), rng=r.derive("pipe"))
+            kmask, a = planted_coset_union(g, i)
+            rep = regularity_decompose(a, F(1, 4), F(1))
             assert rep.success and rep.method == "exhaustive" and rep.retries == 0
             assert not kmask & ~rep.subgroup.mask
         assert heuristic_calls == []

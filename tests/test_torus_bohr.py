@@ -154,6 +154,17 @@ class TestBohrSet:
                     assert s4.conjugate(hh, x) in b
             assert F(b.card) >= delta * s4.order  # dim 1
 
+    @pytest.mark.parametrize("delta", [F(1, 2**70), F(10**400)])
+    def test_extreme_delta_matches_plain_loop(self, c16, ea24, delta):
+        # delta * den leaves int64 at both ends, so the exact comparison must
+        # not form it there.
+        for tau in (characters(c16)[3], product_map(characters(ea24)[1:3])):
+            h = tau.domain
+            expect = {
+                x for x in h.members if torus_distance(tau.value(x), tau.value(0)) < delta
+            }
+            assert set(bohr_set(h, tau, delta)) == expect
+
     def test_nesting(self, c16):
         tau = characters(c16)[3]
         h = c16.whole_subgroup()
