@@ -22,7 +22,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .groups import Subgroup
-from .kernels import indices_to_mask, join_mask
+from .kernels import indices_to_mask
 from .reporting import OMIT, as_key, digest
 from .sets import GroupSet
 from .torus import TorusMap, characters, product_map, trivial_map
@@ -92,20 +92,6 @@ class RoundingResult:
     best_distance: Fraction
 
 
-def _generating_positions(h: Subgroup) -> np.ndarray:
-    """Positions (in member order) of a small generating set of H."""
-    have, gens = 1, ()
-    positions: list[int] = []
-    for pos, e in enumerate(h.element_indices().tolist()):
-        if not have >> e & 1:
-            positions.append(pos)
-            have = join_mask(h.parent, have, gens, e)
-            gens += (e,)
-            if have == h.mask:
-                break
-    return np.asarray(positions or [0], dtype=np.int64)
-
-
 def _sup_distance_rows(
     char_nums: np.ndarray, char_den: int, f_nums: np.ndarray, f_den: int
 ) -> np.ndarray:
@@ -120,14 +106,15 @@ def _sup_distance_rows(
     return diff.max(axis=1), m
 
 
-def round_to_homomorphism(
-    f: TorusMap, delta: Fraction, beam_width: int | None = None
-) -> RoundingResult:
+def round_to_homomorphism(f: TorusMap, delta: Fraction) -> RoundingResult:
     """Search for an exact homomorphism tau with sup_x d(tau(x), f(x)) <= 2 delta.
 
-    On success returns tau and B = bohr_set(tau, delta), after verifying
-    B is contained in the 3*delta sublevel set of f.  On failure reports the
-    best sup distance found; absence is a value, not an error.
+    Every coordinate of f is compared with every character of H, and tau takes
+    the nearest character in each.  On success returns tau and
+    B = bohr_set(tau, delta), after verifying B is contained in the 3*delta
+    sublevel set of f.  On failure reports the best sup distance found: since
+    the scan is complete, found=False means no product of characters lies
+    within 2 delta of f.  Absence is a value, not an error.
     """
     delta = Fraction(delta)
     if f.defect() >= delta:
@@ -136,23 +123,15 @@ def round_to_homomorphism(
     chars = characters(h)
     char_nums = np.stack([c.nums[:, 0] for c in chars])
     char_den = chars[0].den
-    gens = _generating_positions(h)
     two_delta = 2 * delta
     chosen: list[TorusMap] = []
     best_each: list[Fraction] = []
     for j in range(f.dim):
-        col = f.nums[:, j]
-        order = np.arange(len(chars))
-        if beam_width is not None and beam_width < len(chars):
-            gen_sup, m = _sup_distance_rows(
-                char_nums[:, gens], char_den, col[gens], f.den
-            )
-            order = np.argsort(gen_sup, kind="stable")[:beam_width]
-        sup, m = _sup_distance_rows(char_nums[order], char_den, col, f.den)
+        sup, m = _sup_distance_rows(char_nums, char_den, f.nums[:, j], f.den)
         pick = int(np.argmin(sup))
         best = Fraction(int(sup[pick]), m)
         best_each.append(best)
-        chosen.append(chars[int(order[pick])])
+        chosen.append(chars[pick])
     best_overall = max(best_each) if best_each else Fraction(0)
     if any(b > two_delta for b in best_each):
         return RoundingResult(found=False, tau=None, bohr=None, best_distance=best_overall)

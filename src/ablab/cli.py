@@ -397,8 +397,7 @@ def cmd_diagnose(args) -> int:
 def cmd_croot_sisask(args) -> int:
     g = get_group(args.group, args.size_budget)
     a = parse_set_spec(g, args.set)
-    rng = SplitRng.from_seed(args.seed).derive("cli:croot-sisask")
-    y, trace = pipelines.croot_sisask(a, args.mode, args.n, strategy=args.strategy, rng=rng)
+    y, trace = pipelines.croot_sisask(a, args.mode, args.n)
     _emit(args, {"y": y, "trace": trace})
     return 0
 
@@ -528,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=["tripling", "alternation"], default="tripling")
     p.add_argument("--n", type=_POSITIVE, default=8)
-    p.add_argument("--strategy", choices=["greedy", "full", "random"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_croot_sisask)
 
     p = sub.add_parser("bogolyubov", help="subgroup witness inside W(A)")

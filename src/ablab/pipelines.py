@@ -135,14 +135,6 @@ class CSTrace:
     targets: tuple[CSTargetTrace, ...]
     sets: ModeSets = field(metadata=OMIT)
 
-    @property
-    def ell(self) -> Fraction:
-        return self.targets[0].ell
-
-    @property
-    def ladder(self):
-        return self.targets[0].ladder
-
 
 def _greedy_b(x: GroupSet, z: GroupSet, size: int) -> GroupSet:
     """Grow B inside X minimizing |BZ|, one element at a time."""
@@ -160,31 +152,6 @@ def _greedy_b(x: GroupSet, z: GroupSet, size: int) -> GroupSet:
         covered |= rows[pick]
         mask |= 1 << int(xs[pick])
     return GroupSet(g, mask)
-
-
-def _random_b(x: GroupSet, z: GroupSet, size: int, rng: SplitRng) -> GroupSet:
-    xs = [int(i) for i in x.indices()]
-    best: GroupSet | None = None
-    best_bz = -1
-    for _ in range(4):
-        picks = rng.sample(xs, size)
-        cand = GroupSet(x.group, kernels.indices_to_mask(picks, x.group.order))
-        bz = product(cand, z).card
-        if best is None or bz < best_bz:
-            best, best_bz = cand, bz
-    return best
-
-
-def _pick_b(x: GroupSet, z: GroupSet, size: int, strategy: str, rng: SplitRng) -> GroupSet:
-    if size >= x.card:
-        return x
-    if strategy == "greedy":
-        return _greedy_b(x, z, size)
-    if strategy == "full":
-        return x
-    if strategy == "random":
-        return _random_b(x, z, size, rng)
-    raise ValueError(f"unknown B-strategy {strategy!r}")
 
 
 def _ystar(v2: GroupSet, b: GroupSet, thr: Fraction, card_x: int) -> GroupSet:
@@ -207,14 +174,14 @@ def _cs_target(
     ell: Fraction,
     v2: GroupSet,
     n_pow: int,
-    strategy: str,
-    rng: SplitRng,
 ) -> CSTargetTrace:
     """Walk the t-ladder t <- t^2/(2 ell) of one word of the mode until some
     Y* in V^2 has its n_pow-th power inside the word, where ell = |VX|/|X|
-    for the set X of the word's first letter (X for "+", X^-1 for "-").  B
-    is drawn from that set to keep |BZ| small, where Z is the set of the
-    word's second letter."""
+    for the set X of the word's first letter (X for "+", X^-1 for "-").  The
+    rung of size ceil(t |X|) takes B = X while that size reaches |X|, and
+    otherwise grows B inside X greedily (`_greedy_b`) to keep |BZ| small,
+    where Z is the set of the word's second letter.  That is the only B rule,
+    so the ladder is a function of the input alone."""
     x, z, w = letters[signs[0]], letters[signs[1]], ms.words[signs]
     card = x.card
     t = Fraction(1)
@@ -223,7 +190,7 @@ def _cs_target(
     chosen: dict = {}
     while t >= t_min and len(ladder) < 32:
         size = (t.numerator * card + t.denominator - 1) // t.denominator
-        b = _pick_b(x, z, size, strategy, rng)
+        b = x if size >= card else _greedy_b(x, z, size)
         f_est = Fraction(product(b, z).card, card)
         theta = t * t / (2 * ell)
         ladder.append((t, f_est))
@@ -242,16 +209,11 @@ def _cs_target(
     )
 
 
-def croot_sisask(
-    x: GroupSet,
-    mode: str,
-    n: int,
-    strategy: str = "greedy",
-    rng: SplitRng | None = None,
-) -> tuple[GroupSet, CSTrace]:
+def croot_sisask(x: GroupSet, mode: str, n: int) -> tuple[GroupSet, CSTrace]:
     """Symmetric Y containing 1 with Y^n inside the mode's containment target.
 
-    One t-ladder runs per word of the mode.  The returned containment is
+    One t-ladder runs per word of the mode, each with the greedy B rule of
+    `_cs_target`; nothing is drawn at random.  The returned containment is
     re-verified by direct power computation; when no ladder rung verifies,
     the identity singleton is returned and flagged degenerate (always valid,
     never silently wrong).
@@ -260,7 +222,6 @@ def croot_sisask(
         raise EmptySetError("croot_sisask needs a nonempty set")
     if n < 1:
         raise PreconditionError("n must be a positive integer")
-    rng = rng if rng is not None else SplitRng.from_seed(0).derive("croot-sisask")
     ms = mode_sets(x, mode)
     g = x.group
     letters = {"+": x, "-": inverse(x)}
@@ -280,8 +241,6 @@ def croot_sisask(
             ells[signs[0]],
             v2,
             n_pow,
-            strategy,
-            rng,
         )
         for i, signs in enumerate(words, 1)
     )

@@ -13,6 +13,7 @@ set's cardinality.  Keys computed from properties are listed in the class's
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -75,4 +76,12 @@ def jsonable(obj: Any) -> Any:
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    """The report's canonical JSON text.  Integers of any length are written
+    in full: Python's int-to-string digit limit is lifted only while the text
+    is encoded, so parsing keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

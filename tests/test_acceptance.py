@@ -119,7 +119,7 @@ class TestAlmostPeriodicityContract:
                     x = cand
                     break
             assert x is not None, "rejection sampling failed to find tripling <= 4"
-            y, trace = croot_sisask(x, "tripling", 8, rng=r.derive(f"cs{gi}"))
+            y, trace = croot_sisask(x, "tripling", 8)
             total += 1
             if y.card > 1:
                 nontrivial += 1

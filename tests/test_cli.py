@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -119,6 +120,8 @@ class TestParsing:
             ("diagnose", "--budget"),
             ("saturation", "--seed"),
             ("croot-sisask", "--budget"),
+            ("croot-sisask", "--strategy"),
+            ("croot-sisask", "--seed"),
             ("bohr-search", "--seed"),
             ("bogolyubov", "--budget"),
             ("bogolyubov", "--seed"),
@@ -303,6 +306,22 @@ class TestCommands:
         assert err == "" and out.count("\n") == 1
         witness = json.loads(out)["witness"]
         assert witness["bohr"]["elems"] == [0]  # only the kernel is that close to 0
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "bohr-search --group cyclic:16 --set interval:0..3 --deltas 1e-5000",
+            "regularity --group cyclic:8 --set elems:[0,1] --eps 1e-5000 --nu 1",
+        ],
+    )
+    def test_rationals_past_the_digit_limit_give_one_report(self, capsys, line):
+        limit = sys.get_int_max_str_digits()
+        assert run(line.split()) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        # json.loads refuses the 5,001-digit denominator, so read the raw text.
+        assert "[1,1" + "0" * 5000 + "]" in out
+        assert sys.get_int_max_str_digits() == limit
 
     def test_bogolyubov_command(self, tmp_path):
         out = tmp_path / "bg.json"

@@ -40,6 +40,9 @@ CLI_CASES = {
         "croot-sisask --group ea:2^5 --set elems:[2,12,14,18,19,25] "
         "--mode tripling --n 8"
     ),
+    "croot_sisask_cyclic256_interval_tripling": (
+        "croot-sisask --group cyclic:256 --set interval:0..20 --mode tripling --n 1"
+    ),
     "bogolyubov_ea6_tripling": (
         "bogolyubov --group ea:2^6 --set random:density=1/2,seed=7 --mode tripling"
     ),
@@ -92,10 +95,10 @@ CLI_CASES = {
 }
 
 
-def _rounding(rows: list[str], delta: F, beam_width: int | None = None):
+def _rounding(rows: list[str], delta: F):
     g = cyclic_group(len(rows))
     f = TorusMap.from_values(g.whole_subgroup(), [[F(v)] for v in rows])
-    return round_to_homomorphism(f, delta, beam_width)
+    return round_to_homomorphism(f, delta)
 
 
 def _library_cases() -> dict:
@@ -121,11 +124,6 @@ def _library_cases() -> dict:
         ),
         "rounding_cyclic4_found": lambda: _rounding(
             ["0", "1/4", "1/2", "7/10"], F(1, 8)
-        ),
-        "rounding_cyclic8_not_found": lambda: _rounding(
-            ["0", "-1/15", "0", "1/15", "1/30", "1/15", "0", "1/30"],
-            F(1, 5),
-            beam_width=1,
         ),
     }
 
