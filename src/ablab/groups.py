@@ -31,7 +31,9 @@ from .kernels import (
     join_mask,
     mask_indices,
     mask_to_bools,
+    masks_to_rows,
     product_mask,
+    rows_to_masks,
 )
 
 DEFAULT_SIZE_BUDGET = 4096
@@ -40,6 +42,11 @@ DEFAULT_SIZE_BUDGET = 4096
 UNBOUNDED_ENUMERATION_LIMIT = 512
 # Coset joins one subgroup search may compute before it gives up.
 SUBGROUP_JOIN_BUDGET = 200_000
+# Table cells one batch of the subgroup search gathers.  A cell costs about
+# ten bytes of index and entry, and the children a batch pushes grow with
+# it: at 1 << 23 cells the ea(2,8) lattice search, which exhausts the join
+# budget, peaked at 227 MB of RSS, and at this size at 50 MB.
+_SEARCH_BATCH_CELLS = 1 << 16
 # Table cells hashed at a time by Group.signature.
 _SIGNATURE_BLOCK_CELLS = 1 << 16
 # Table cells compared at a time by the associativity check: 256 KB of
@@ -805,58 +812,173 @@ def subgroups_inside(g: Group, region: int) -> list[int]:
     (orderly generation: Read 1978, McKay 1998).  A subgroup L has one
     greedy generating sequence x1 < x2 < ..., where xi is the least element
     of L outside K = <x1, ..., x(i-1)>; the search follows only these
-    sequences, depth-first.  From K it tries each x above the last
-    generator and outside K whose <x> lies inside the region, skips x unless
-    x is the least element of <x> - K and of its coset Kx (both sets lie in
-    <K, x> - K), and accepts k = join_mask(K, gens, x) iff k stays inside
-    the region and x is the least element of k - K.  An increasing sequence
-    with that property at every step is greedy for the subgroup it ends in:
-    an element y < xi of L outside <x1, ..., x(i-1)> would first enter at
-    some later step j, against xj < y.  So no subgroup is reached twice.  A
-    whole-group search fills the cache.  FeasibilityError after
-    SUBGROUP_JOIN_BUDGET joins."""
+    sequences.  From K it tries each x above the last generator and outside
+    K whose <x> lies inside the region, skips x unless x is the least
+    element of its coset Kx and of <x> - K (both sets lie in <K, x> - K),
+    and accepts <K, x> iff it stays inside the region and x is the least
+    element of <K, x> - K.  An increasing sequence with that property at
+    every step is greedy for the subgroup it ends in: an element y < xi of
+    L outside <x1, ..., x(i-1)> would first enter at some later step j,
+    against xj < y.  So no subgroup is reached twice.
+
+    Nodes (K, gens) leave the stack in batches (_pop_batch), and one gather
+    per subgroup order in a batch reads the cosets Kx of all its pairs
+    (K, x) to keep those with x = min(Kx).  Two kinds of pair need no join:
+    - K lies in <x>: then <K, x> = <x>, read from the cyclic cache.
+    - x^2 is in K and xKx^-1 = K, tested on the generators s of K as
+      x s x^-1 in K.  Then Kx = xK, so KxKx = KKx^2 = K and K u Kx is
+      closed under products: it is <K, x>, K has index 2 in it, and
+      x = min(Kx) is its least element outside K.  (Conversely, K of index
+      2 is normal in <K, x>, and x^2 in Kx would put x in K.)  These
+      subgroups are built in bulk and kept iff they lie in the region.
+    Every other pair calls join_mask, abandoned as soon as a coset leaves
+    the region or holds an element below x outside K.
+
+    Each pair that passes the min and cyclic tests counts one join, whether
+    or not join_mask runs.  Those pairs depend only on their node, and the
+    nodes are the subgroups found, each exactly once, so the count does not
+    depend on the order of the traversal: FeasibilityError iff it exceeds
+    SUBGROUP_JOIN_BUDGET.  A whole-group search fills the cache."""
     if g._lattice is not None:
         return [m for m in g._lattice if not m & ~region]
     n = g.order
+    mult = g.mult
+    item, inv, abelian = mult.item, g.inv.tolist(), g.is_abelian
     cyclics = g.cyclic_masks()
-    eligible = np.array([not c & ~region for c in cyclics])
+    eligible = bools_to_mask(np.array([not c & ~region for c in cyclics]))
     inside = mask_to_bools(region, n)
     found = [1]
     stack: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     joins = 0
     while stack:
-        kmask, gens = stack.pop()
-        kbits = mask_to_bools(kmask, n)
-        last = gens[-1] if gens else 0
-        cand = last + 1 + (eligible[last + 1 :] & ~kbits[last + 1 :]).nonzero()[0]
-        if not cand.size:
+        batch = _pop_batch(stack, eligible, n)
+        if not batch:
             continue
-        # Keep x when it is the least of k*x over k in K: one column-min over
-        # K's rows, gathered for the candidate columns only.
-        cand = cand[g.mult[kbits.nonzero()[0][:, None], cand].min(axis=0) == cand]
-        for x in cand.tolist():
-            below = (1 << x) - 1
-            if cyclics[x] & ~kmask & below:
+        rows = masks_to_rows([node[1] for node in batch] + [node[3] for node in batch], n)
+        kbits, cand_bits = rows[: len(batch)], rows[len(batch) :]
+        pair_node, pair_x = cand_bits.nonzero()
+        least = _coset_minima(mult, batch, kbits, pair_node, pair_x)
+        children, index2, joined = [], [], []
+        for j, x in zip(pair_node[least].tolist(), pair_x[least].tolist()):
+            kmask, gens = batch[j][1], batch[j][2]
+            if cyclics[x] & ~kmask & ((1 << x) - 1):
                 continue
-            if joins == SUBGROUP_JOIN_BUDGET:
-                raise FeasibilityError(
-                    f"subgroup search exceeded {SUBGROUP_JOIN_BUDGET} coset"
-                    f" joins after finding {len(found)} subgroups"
-                )
             joins += 1
-            # Accept iff <K, x> stays inside the region and has no element
-            # below x outside K.
+            if not kmask & ~cyclics[x]:
+                children.append((cyclics[x], j, x))
+            elif kmask >> item(x, x) & 1 and (
+                abelian or _normalizes(item, x, inv[x], kmask, gens)
+            ):
+                index2.append((j, x))
+            else:
+                joined.append((j, x))
+        if joins > SUBGROUP_JOIN_BUDGET:
+            raise FeasibilityError(
+                f"subgroup search exceeded {SUBGROUP_JOIN_BUDGET} coset"
+                f" joins after finding {len(found)} subgroups"
+            )
+        children += _index2_children(g, kbits, inside, index2)
+        for j, x in joined:
             within = inside.copy()
-            within[:x] = kbits[:x]
-            k = join_mask(g, kmask, gens, x, within)
-            if not k:
-                continue
+            within[:x] = kbits[j, :x]
+            k = join_mask(g, batch[j][1], batch[j][2], x, within)
+            if k:
+                children.append((k, j, x))
+        for k, j, x in children:
             found.append(k)
-            stack.append((k, gens + (x,)))
+            stack.append((k, batch[j][2] + (x,)))
     found.sort(key=lambda m: (m.bit_count(), m))
     if region == (1 << n) - 1:
         g._lattice = found
     return found
+
+
+def _pop_batch(
+    stack: list[tuple[int, tuple[int, ...]]], eligible: int, n: int
+) -> list[tuple[int, int, tuple[int, ...], int, int]]:
+    """Pop subgroups_inside's next batch of nodes (K, gens) off the stack.
+
+    The candidates of K are the eligible x above its last generator and
+    outside K.  A node costs n cells for its bit rows plus |K| per
+    candidate, for its cosets, and the batch stops before the node that
+    would take it past _SEARCH_BATCH_CELLS, but holds at least one node.
+    Nodes without candidates are dropped.  Returns (|K|, K, gens,
+    candidates, number of candidates) for each node, sorted by |K|."""
+    batch: list[tuple[int, int, tuple[int, ...], int, int]] = []
+    cells = 0
+    while stack:
+        kmask, gens = stack[-1]
+        lo = gens[-1] + 1 if gens else 1
+        cand = eligible >> lo << lo & ~kmask
+        m, c = kmask.bit_count(), cand.bit_count()
+        if batch and cells + n + m * c > _SEARCH_BATCH_CELLS:
+            break
+        stack.pop()
+        if cand:
+            batch.append((m, kmask, gens, cand, c))
+            cells += n + m * c
+    batch.sort(key=lambda node: node[0])
+    return batch
+
+
+def _coset_minima(
+    mult: np.ndarray,
+    batch: list[tuple[int, int, tuple[int, ...], int, int]],
+    kbits: np.ndarray,
+    pair_node: np.ndarray,
+    pair_x: np.ndarray,
+) -> np.ndarray:
+    """Indices i of the pairs (K, x) = (batch[pair_node[i]], pair_x[i])
+    with x = min(Kx), in increasing order.  kbits holds the nodes' bit
+    rows.  One gather per subgroup order m reads the (m, pairs) matrix of
+    table cells k * n + x, whose column i is the coset Kx."""
+    n = mult.shape[0]
+    table = mult.ravel()
+    offsets = kbits.nonzero()[1] * n  # row offsets of the nodes' elements, node by node
+    least = []
+    r0 = p0 = c0 = 0
+    for m, same_order in itertools.groupby(batch, key=lambda node: node[0]):
+        nodes = list(same_order)
+        r1, p1 = r0 + len(nodes), p0 + sum(node[4] for node in nodes)
+        c1 = c0 + len(nodes) * m
+        xs = pair_x[p0:p1]
+        cosets = offsets[c0:c1].reshape(-1, m).T.take(pair_node[p0:p1] - r0, axis=1)
+        cosets += xs
+        least.append(p0 + (table[cosets].min(axis=0) == xs).nonzero()[0])
+        r0, p0, c0 = r1, p1, c1
+    return np.concatenate(least)
+
+
+def _normalizes(item, x: int, xinv: int, kmask: int, gens: tuple[int, ...]) -> bool:
+    """Whether x K x^-1 = K for the subgroup K (kmask) generated by gens,
+    read with the table's item method: it holds iff x s x^-1 is in K for
+    every generator s."""
+    for s in gens:
+        if not kmask >> item(item(x, s), xinv) & 1:
+            return False
+    return True
+
+
+def _index2_children(
+    g: Group, kbits: np.ndarray, inside: np.ndarray, pairs: list[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """(K u Kx, j, x) for each pair (j, x) whose K u Kx lies inside the
+    region, where K has the bit row kbits[j]: z is in Kx iff x z^-1 is in
+    K, as K is closed under inverses, so Kx is read off row x of the table.
+    The rows are built and packed _SEARCH_BATCH_CELLS cells at a time."""
+    n = g.order
+    flat = kbits.ravel()
+    out = []
+    step = max(1, _SEARCH_BATCH_CELLS // n)
+    for s in range(0, len(pairs), step):
+        chunk = pairs[s : s + step]
+        j, x = np.array(chunk).T
+        cells = g.mult.take(x, axis=0).take(g.inv, axis=1).astype(np.intp)
+        cells += (j * n)[:, None]  # cell x z^-1 of kbits[j]
+        grown = kbits[j] | flat.take(cells)
+        keep = (grown <= inside).all(axis=1).tolist()
+        out += [(k, *jx) for k, jx, ok in zip(rows_to_masks(grown), chunk, keep) if ok]
+    return out
 
 
 def _lattice_masks(g: Group) -> list[int]:

@@ -26,6 +26,21 @@ def bools_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def masks_to_rows(masks: list[int], n: int) -> np.ndarray:
+    """(len(masks), n) bool matrix whose row i is the indicator of masks[i]."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
+    rows = raw.reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
+def rows_to_masks(rows: np.ndarray) -> list[int]:
+    """Bitmasks of the rows of a 2-d bool matrix, packed in one call."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    raw, nbytes = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+
+
 def mask_indices(mask: int, n: int) -> np.ndarray:
     return np.flatnonzero(mask_to_bools(mask, n))
 

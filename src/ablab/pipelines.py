@@ -650,6 +650,15 @@ def _trivial_regularity_report(
     )
 
 
+def _rational_text(q: Fraction) -> str:
+    """str(q), or a note of its size where Python's int-to-string digit
+    limit refuses to write it."""
+    try:
+        return str(q)
+    except ValueError:
+        return f"(a rational of over {sys.get_int_max_str_digits()} digits)"
+
+
 def regularity_decompose(
     a: GroupSet,
     eps: Fraction,
@@ -686,7 +695,8 @@ def regularity_decompose(
     kpow = Fraction(30) ** e / dpow  # k^vb
     if kpow < 1:
         raise PreconditionError(
-            f"eps = {eps} too large: delta > 30 makes the packing bound (30/delta)^{d} < 1"
+            f"eps = {_rational_text(eps)} too large: delta > 30 makes the packing bound"
+            f" (30/delta)^{d} < 1"
         )
     p = Fraction(d) * (d + nu) / nu
     # The translates vc_dimension gathered serve Stab_delta(A) and Stab_eps(A).

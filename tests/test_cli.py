@@ -83,6 +83,8 @@ class TestParsing:
             ["bohr-search", "--group", "cyclic:16", "--set", "interval:0..3", "--budget", "-1"],
             ["group", "--group", "cyclic:8", "--subgroups", "--max-index", "0"],
             ["group", "--group", "cyclic:8", "--size-budget", "x"],
+            # Python refuses to print this eps, which the message names.
+            "regularity --group cyclic:8 --set elems:[0,1] --eps 1e5000 --nu 1".split(),
         ],
         ids=[
             "out",
@@ -95,6 +97,7 @@ class TestParsing:
             "bohr-budget",
             "max-index",
             "size-budget",
+            "eps-past-digit-limit",
         ],
     )
     def test_invalid_invocation_exits_2_with_one_line(self, capsys, tmp_path, argv):

@@ -101,6 +101,24 @@ class TestSubgroupsInside:
         for region in regions(g, spec):
             check_region(g, region)
 
+    def test_one_node_batches_match_the_default_run(self, spec, monkeypatch):
+        default = {r: subgroups_inside(uncached(spec), r) for r in regions(ZOO[spec], spec)}
+        sizes = []
+        real = ablab.groups._pop_batch
+
+        def recorded(*args):
+            batch = real(*args)
+            sizes.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(ablab.groups, "_SEARCH_BATCH_CELLS", 1)
+        monkeypatch.setattr(ablab.groups, "_pop_batch", recorded)
+        for region, masks in default.items():
+            g = uncached(spec)
+            assert subgroups_inside(g, region) == masks
+            check_region(g, region)
+        assert set(sizes) <= {0, 1} and 1 in sizes
+
 
 @settings(max_examples=40, deadline=None)
 @given(spec=st.sampled_from(SPECS), bits=st.integers(min_value=0), cached=st.booleans())
@@ -122,6 +140,22 @@ def test_ea2_lattice_sizes_are_the_galois_numbers(k):
     assert len(masks) == len(set(masks)) == GALOIS_NUMBERS[k]
 
 
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_ea2_lattice_needs_no_join_mask_call(k, join_calls):
+    # Every greedy step in ea(2,k) has index 2 or starts from {0}.
+    g = build_group(parse_group_spec(f"ea:2^{k}"))
+    join_calls.clear()
+    assert len(subgroups_inside(Group(g.mult, g.label), (1 << g.order) - 1)) == GALOIS_NUMBERS[k]
+    assert join_calls == []
+
+
+def test_sym4_lattice_still_calls_join_mask(join_calls):
+    g = uncached("sym:4")
+    join_calls.clear()
+    subgroups_inside(g, (1 << g.order) - 1)
+    assert join_calls
+
+
 class TestOrderlyJoinCount:
     """In ea(2,k) every join the orderly search makes is accepted, so the
     whole lattice costs exactly one join per subgroup besides {0}."""
@@ -137,6 +171,16 @@ class TestOrderlyJoinCount:
     def test_ea2_6_exceeds_2823_joins(self, monkeypatch):
         with pytest.raises(FeasibilityError, match="exceeded 2823 coset joins"):
             self._lattice(monkeypatch, 2823)
+
+    @pytest.mark.parametrize("batch_cells", [ablab.groups._SEARCH_BATCH_CELLS, 1])
+    def test_sym4_count_does_not_depend_on_the_batches(self, monkeypatch, batch_cells):
+        # 53 joins, whether a batch holds the whole stack or one node.
+        monkeypatch.setattr(ablab.groups, "_SEARCH_BATCH_CELLS", batch_cells)
+        monkeypatch.setattr(ablab.groups, "SUBGROUP_JOIN_BUDGET", 53)
+        assert len(subgroups_inside(uncached("sym:4"), (1 << 24) - 1)) == 30
+        monkeypatch.setattr(ablab.groups, "SUBGROUP_JOIN_BUDGET", 52)
+        with pytest.raises(FeasibilityError, match="exceeded 52 coset joins"):
+            subgroups_inside(uncached("sym:4"), (1 << 24) - 1)
 
 
 def test_cli_lists_the_29212_subgroups_of_ea2_7(capsys, monkeypatch):
