@@ -56,7 +56,7 @@ from .sets import (
     ruzsa_distance,
     ruzsa_triangle_ok,
 )
-from .torus import TorusMap, TorusVec, characters, hom_defect, product_map, torus_distance
+from .torus import TorusMap, TorusVec, characters, hom_defect, torus_distance
 from .vc import (
     HausslerReport,
     StabilizerProfile,

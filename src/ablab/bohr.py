@@ -25,12 +25,7 @@ from .groups import Subgroup
 from .kernels import indices_to_mask
 from .reporting import OMIT, as_key, digest
 from .sets import GroupSet
-from .torus import TorusMap, characters, product_map, trivial_map
-
-
-def _deviation(f: TorusMap) -> np.ndarray:
-    """Per-coordinate distance to 0 of each value of f, as numerators over f.den."""
-    return np.minimum(f.nums, f.den - f.nums)
+from .torus import TorusMap, characters, trivial_map
 
 
 def _sublevel_mask(
@@ -48,7 +43,7 @@ def _sup_sublevel_set(f: TorusMap, bound: Fraction) -> GroupSet:
     """{x : d(f(x), 0) < bound} in the sup metric."""
     if f.dim == 0:
         return f.domain.members
-    dev = _deviation(f).max(axis=1)
+    dev = np.minimum(f.nums, f.den - f.nums).max(axis=1)  # numerators over f.den
     g = f.domain.parent
     return GroupSet(g, _sublevel_mask(f.elems, dev, f.den, bound, g.order))
 
@@ -92,20 +87,6 @@ class RoundingResult:
     best_distance: Fraction
 
 
-def _sup_distance_rows(
-    char_nums: np.ndarray, char_den: int, f_nums: np.ndarray, f_den: int
-) -> np.ndarray:
-    """Sup distance of each character row to a target column, as Fractions.
-
-    char_nums has shape (C, h); f_nums has shape (h,).  Returns numerators
-    over lcm(char_den, f_den).
-    """
-    m = math.lcm(char_den, f_den)
-    diff = (char_nums * (m // char_den) - f_nums[None, :] * (m // f_den)) % m
-    np.minimum(diff, m - diff, out=diff)
-    return diff.max(axis=1), m
-
-
 def round_to_homomorphism(f: TorusMap, delta: Fraction) -> RoundingResult:
     """Search for an exact homomorphism tau with sup_x d(tau(x), f(x)) <= 2 delta.
 
@@ -121,21 +102,21 @@ def round_to_homomorphism(f: TorusMap, delta: Fraction) -> RoundingResult:
         raise PreconditionError("f must be a delta-homomorphism (defect < delta)")
     h = f.domain
     chars = characters(h)
-    char_nums = np.stack([c.nums[:, 0] for c in chars])
-    char_den = chars[0].den
-    two_delta = 2 * delta
-    chosen: list[TorusMap] = []
+    m = math.lcm(chars.den, f.den)
+    scaled = chars.nums * (m // chars.den)
+    picks: list[int] = []
     best_each: list[Fraction] = []
     for j in range(f.dim):
-        sup, m = _sup_distance_rows(char_nums, char_den, f.nums[:, j], f.den)
+        diff = (scaled - f.nums[:, j, None] * (m // f.den)) % m
+        np.minimum(diff, m - diff, out=diff)
+        sup = diff.max(axis=0)  # each character's sup distance to coordinate j, over m
         pick = int(np.argmin(sup))
-        best = Fraction(int(sup[pick]), m)
-        best_each.append(best)
-        chosen.append(chars[pick])
-    best_overall = max(best_each) if best_each else Fraction(0)
-    if any(b > two_delta for b in best_each):
+        best_each.append(Fraction(int(sup[pick]), m))
+        picks.append(pick)
+    best_overall = max(best_each, default=Fraction(0))
+    if best_overall > 2 * delta:
         return RoundingResult(found=False, tau=None, bohr=None, best_distance=best_overall)
-    tau = product_map(chosen) if chosen else trivial_map(h, 0)
+    tau = chars.select(picks)
     bohr = bohr_set(h, tau, delta)
     target = approx_bohr_set(h, f, 3 * delta)
     if not bohr.issubset(target):
@@ -175,7 +156,9 @@ def bohr_witness_search(
 
     Character products are enumerated in graded order (fewest coordinates
     first, lexicographic within a grade); the delta grid is scanned from the
-    largest value down, so the first fit per map is its largest fit.
+    largest value down, so the first fit per map is its largest fit.  Before
+    any map is tried, FeasibilityError if their number, the sum of C(r, d)
+    over d <= n_max for the r nontrivial characters, exceeds max_maps.
     """
     if h.parent != container.group:
         raise GroupMismatchError("subgroup and container live over different groups")
@@ -188,51 +171,46 @@ def bohr_witness_search(
 
     def consider(tau: TorusMap, delta: Fraction, dim: int, bohr: GroupSet) -> None:
         nonlocal best
-        if best is None or bohr.card > best.bohr.card:
-            ok = _verify_size_bound(h, delta, dim, bohr)
-            if not ok:
-                raise TheoremViolationError(
-                    "Bohr size bound failed for an exact homomorphism",
-                    reproducer={"subgroup": h.to_json(), "delta": str(delta)},
-                )
-            best = BohrWitness(
-                subgroup=h, tau=tau, delta=delta, dim=dim, bohr=bohr,
-                container=container, size_bound_ok=ok,
+        ok = _verify_size_bound(h, delta, dim, bohr)
+        if not ok:
+            raise TheoremViolationError(
+                "Bohr size bound failed for an exact homomorphism",
+                reproducer={"subgroup": h.to_json(), "delta": str(delta)},
             )
+        best = BohrWitness(
+            subgroup=h, tau=tau, delta=delta, dim=dim, bohr=bohr,
+            container=container, size_bound_ok=ok,
+        )
 
     if h.members.issubset(container):
         tau = trivial_map(h, 1)
         consider(tau, grid[0], 1, bohr_set(h, tau, grid[0]))
         return best
     chars = characters(h)
-    den = chars[0].den
-    devs = []
-    nontrivial = []
-    for i, c in enumerate(chars):
-        if c.nums.any():
-            nontrivial.append(i)
-            devs.append(_deviation(c)[:, 0])
+    cols = np.flatnonzero(chars.nums.any(axis=0))  # the nontrivial characters
+    top = min(n_max, len(cols))
+    maps = sum(math.comb(len(cols), dim) for dim in range(1, top + 1))
+    if max_maps is not None and maps > max_maps:
+        raise FeasibilityError(
+            f"Bohr witness search needs {maps} character maps at --n-max {n_max},"
+            f" over its budget of {max_maps}"
+        )
+    # One row per character, so a dimension-1 map reads its row in place.
+    # Each value's distance to 0 is min(x, den - x), taken in place.
+    devs = chars.nums.T[cols]
+    np.subtract(chars.den, devs, out=devs, where=devs > chars.den // 2)
     elems = h.element_indices()
-    budget = max_maps
-    for dim in range(1, n_max + 1):
-        for combo in itertools.combinations(range(len(nontrivial)), dim):
-            if budget is not None:
-                budget -= 1
-                if budget < 0:
-                    raise FeasibilityError(
-                        f"Bohr witness search exceeded {max_maps} character maps"
-                        f" at dimension {dim}"
-                    )
+    for dim in range(1, top + 1):
+        for combo in itertools.combinations(range(len(cols)), dim):
             dev = devs[combo[0]]
             for c in combo[1:]:
                 dev = np.maximum(dev, devs[c])
             for delta in grid:
-                mask = _sublevel_mask(elems, dev, den, delta, h.parent.order)
+                mask = _sublevel_mask(elems, dev, chars.den, delta, h.parent.order)
                 if mask & ~container.mask:
                     continue
                 bohr = GroupSet(container.group, mask)
                 if best is None or bohr.card > best.bohr.card:
-                    tau = product_map([chars[nontrivial[c]] for c in combo])
-                    consider(tau, delta, dim, bohr)
+                    consider(chars.select(cols[list(combo)]), delta, dim, bohr)
                 break  # largest fitting delta found for this map
     return best

@@ -838,7 +838,10 @@ def subgroups_inside(g: Group, region: int) -> list[int]:
     or not join_mask runs.  Those pairs depend only on their node, and the
     nodes are the subgroups found, each exactly once, so the count does not
     depend on the order of the traversal: FeasibilityError iff it exceeds
-    SUBGROUP_JOIN_BUDGET.  A whole-group search fills the cache."""
+    SUBGROUP_JOIN_BUDGET.  A whole-group search fills the cache.  A region
+    without the identity holds no subgroup."""
+    if not region & 1:
+        return []
     if g._lattice is not None:
         return [m for m in g._lattice if not m & ~region]
     n = g.order

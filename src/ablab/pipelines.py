@@ -533,20 +533,42 @@ def coset_decomposition(a: GroupSet, h: Subgroup, eps: Fraction) -> CosetDecompo
 # --- the regularity pipeline ---------------------------------------------------------
 
 
-def _delta_power(eps: Fraction, nu: Fraction, d: int) -> tuple[Fraction, int]:
-    """(dpow, E) with delta^E = dpow, for delta = (eps/4)^((d+nu)/d) / 30^(nu/d)."""
+# The largest exact power the regularity pipeline forms, in bits.
+POWER_BIT_BUDGET = 1 << 24
+
+
+def _power(base: int | Fraction, exp: int) -> int | Fraction:
+    """base^exp for exp >= 0, formed only when exp times the bit length of
+    base (of the longer of its numerator and denominator) is at most
+    POWER_BIT_BUDGET: FeasibilityError, before any work, when it is not."""
+    size = exp * max(x.bit_length() for x in base.as_integer_ratio())
+    if size > POWER_BIT_BUDGET:
+        shown = size if size.bit_length() <= 64 else f"over 2^{size.bit_length() - 1}"
+        raise FeasibilityError(
+            f"regularity needs an exact power of {shown} bits,"
+            f" over the budget of {POWER_BIT_BUDGET} bits"
+        )
+    return base**exp
+
+
+def _delta_power(eps: Fraction, nu: Fraction, d: int) -> tuple[Fraction, Fraction, int]:
+    """(dpow, kpow, E) with delta^E = dpow and k^vb = kpow, for
+    delta = (eps/4)^((d+nu)/d) / 30^(nu/d), k = (30/delta)^d = (120/eps)^(d+nu)
+    and E = d vb.  kpow = (120/eps)^(E+va) is formed first, so a nu whose k
+    outgrows POWER_BIT_BUDGET stops before any other work on it."""
     va, vb = nu.numerator, nu.denominator
     e = d * vb
-    return (eps / 4) ** (e + va) / Fraction(30) ** va, e
+    kpow = _power(120 / eps, e + va)
+    return _power(eps / 4, e + va) / _power(30, va), kpow, e
 
 
 def _floor_delta_times(dpow: Fraction, e: int, scale: int) -> int:
     """floor(delta * scale) where delta = dpow^(1/e), by integer bisection."""
     lo, hi = 0, scale
-    target = dpow * Fraction(scale) ** e
+    target = dpow * _power(scale, e)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if Fraction(mid) ** e <= target:
+        if _power(mid, e) <= target:
             lo = mid
         else:
             hi = mid - 1
@@ -557,7 +579,7 @@ def _tripling_steps_exhausted(t: int, p: Fraction, n: int) -> bool:
     """3^(t p) >= n, in integers.  Each tripling step grows |B| by more
     than 3^p from |B| >= 1, and |B| <= n, so no group of order n allows a
     t-th step once this holds."""
-    return 3 ** (t * p.numerator) >= n**p.denominator
+    return _power(3, t * p.numerator) >= _power(n, p.denominator)
 
 
 def _root_float(x: Fraction, r: int) -> float | None:
@@ -690,18 +712,17 @@ def regularity_decompose(
     if d == 0:
         return _trivial_regularity_report(a, eps, nu)
     vb = nu.denominator
-    dpow, e = _delta_power(eps, nu, d)
-    threshold = _floor_delta_times(dpow, e, n)
-    kpow = Fraction(30) ** e / dpow  # k^vb
+    dpow, kpow, e = _delta_power(eps, nu, d)
     if kpow < 1:
         raise PreconditionError(
             f"eps = {_rational_text(eps)} too large: delta > 30 makes the packing bound"
             f" (30/delta)^{d} < 1"
         )
+    threshold = _floor_delta_times(dpow, e, n)
     p = Fraction(d) * (d + nu) / nu
     # The translates vc_dimension gathered serve Stab_delta(A) and Stab_eps(A).
     s = stabilizer_by_threshold(a, threshold)
-    haussler_ok = Fraction(s.card) ** vb * kpow >= Fraction(n) ** vb
+    haussler_ok = _power(s.card, vb) * kpow >= _power(n, vb)
     if not haussler_ok:
         raise TheoremViolationError(
             "stabilizer smaller than the packing bound guarantees",
@@ -711,7 +732,8 @@ def regularity_decompose(
     t = 0
     while True:
         b3 = power(b, 3)
-        if b3.card ** p.denominator <= 3**p.numerator * b.card**p.denominator:
+        grown = _power(b3.card, p.denominator)
+        if grown <= _power(3, p.numerator) * _power(b.card, p.denominator):
             break
         b = b3
         t += 1
@@ -721,7 +743,7 @@ def regularity_decompose(
                 reproducer={"group": g.label, "set": sorted(a)},
             )
     # t <= log_{3^p} k, checked with integer exponents only
-    t_bounded = 3 ** (t * p.numerator * vb) <= kpow**p.denominator
+    t_bounded = _power(kpow, p.denominator) >= _power(3, t * p.numerator * vb)
     w = power(b, 4)
     stab_eps = stabilizer_by_threshold(a, eps.numerator * n // eps.denominator)
     witness = largest_subgroup_inside(w & stab_eps, g.whole_subgroup())

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotExactError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .groups import (
     Group,
     Subgroup,
@@ -128,6 +128,11 @@ class TorusMap:
             raise PreconditionError(f"element {x} is not in the domain subgroup")
         return i
 
+    def select(self, cols: Sequence[int]) -> "TorusMap":
+        """The map onto the listed coordinates, in the given order; a
+        coordinate may be listed more than once."""
+        return TorusMap(self.domain, self.den, self.nums[:, list(cols)])
+
     def value(self, x: int) -> TorusVec:
         row = self.nums[self.position(x)]
         return TorusVec(tuple(Fraction(int(v), self.den) for v in row))
@@ -194,44 +199,27 @@ def hom_defect(f: TorusMap) -> Fraction:
     return f.defect()
 
 
-def product_map(maps: Sequence[TorusMap]) -> TorusMap:
-    """Stack coordinates of maps over the same domain."""
-    if not maps:
-        raise PreconditionError("product of zero maps is ambiguous; pass trivial_map")
-    dom = maps[0].domain
-    for m in maps[1:]:
-        if m.domain != dom:
-            raise PreconditionError("maps have different domains")
-    den = math.lcm(*[m.den for m in maps])
-    cols = [m.nums * (den // m.den) for m in maps]
-    return TorusMap(dom, den, np.hstack(cols))
-
-
 def trivial_map(domain: Subgroup, dim: int = 1) -> TorusMap:
     return TorusMap(domain, 1, np.zeros((domain.order, dim), dtype=np.int64))
 
 
-def characters(h: Subgroup | Group) -> list[TorusMap]:
-    """The full dual of H/[H,H] lifted to H, as exact 1-dimensional maps.
+def characters(h: Subgroup | Group) -> TorusMap:
+    """The full dual of H/[H,H] lifted to H, as one exact map whose column j
+    is character j.
 
-    The first entry is the trivial character; the list has |H/[H,H]| entries
-    and distinct characters differ on some element.
+    Columns follow itertools.product over the abelian_basis orders, so
+    column 0 is the trivial character; there are |H/[H,H]| columns and
+    distinct columns differ on some element.  The table is one integer
+    product of each element's abelian coordinates with the index grid.
     """
     dom = h.whole_subgroup() if isinstance(h, Group) else h
     sub, _ = dom.as_group()
     ab, proj = abelianization(sub)
     basis = abelian_basis(ab)
-    coords = abelian_coordinates(ab, basis)
     orders = [m for _, m in basis]
-    den = math.lcm(*orders) if orders else 1
-    weights = np.array([den // m for m in orders], dtype=np.int64)
-    out = []
-    for tup in itertools.product(*[range(m) for m in orders]):
-        j = np.array(tup, dtype=np.int64)
-        if orders:
-            vals_ab = (coords @ (j * weights)) % den
-        else:
-            vals_ab = np.zeros(ab.order, dtype=np.int64)
-        nums = vals_ab[proj][:, None]
-        out.append(TorusMap(dom, den, nums))
-    return out
+    den = math.lcm(*orders)
+    # Index j of a basis element of order m scales to j * den / m.
+    grid = itertools.product(*(range(0, den, den // m) for m in orders))
+    coords = abelian_coordinates(ab, basis)[proj]
+    # Formed one row per character, so each column of nums is contiguous.
+    return TorusMap(dom, den, (np.array(list(grid), dtype=np.int64) @ coords.T).T)

@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ablab
 from ablab import cli
 from ablab.cli import build_parser, main
 from ablab.sets import parse_set_spec
@@ -295,11 +298,14 @@ class TestCommands:
 
     def test_bohr_map_budget_names_its_limit_and_dimension(self, capsys):
         argv = ["bohr-search", "--group", "cyclic:16", "--set", "interval:0..3"]
+        # 15 nontrivial characters: 15 + C(15, 2) = 120 maps at --n-max 2.
         assert run(argv + ["--budget", "20"]) == 3
         assert capsys.readouterr().err == (
-            "ablab: budget/cap exhausted: Bohr witness search exceeded 20"
-            " character maps at dimension 2\n"
+            "ablab: budget/cap exhausted: Bohr witness search needs 120"
+            " character maps at --n-max 2, over its budget of 20\n"
         )
+        assert run(argv + ["--budget", "119"]) == 3
+        assert run(argv + ["--budget", "120"]) == 0
 
     @pytest.mark.parametrize("deltas", ["1/99999999999999999999", "1e-400", "1/9223372036854775808"])
     def test_bohr_deltas_beyond_int64_give_one_report(self, capsys, deltas):
@@ -379,6 +385,58 @@ class TestRegularityEpsDomain:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "55c742497e370dfb89649d63ebeb80b6aa3d7bd3bf884e05da6976bdcb4cfc14"
         )
+
+
+class TestRegularityPowerBudget:
+    """Every exact power the regularity pipeline forms is sized first, as
+    exponent times the bit length of its base; past POWER_BIT_BUDGET the run
+    exits 3 at once instead of hanging on the power.  In cyclic(8) with
+    A = {0,1} (vc_dim 2) and eps = 1/4, nu = 1000 and 2000 still answer (their
+    goldens pin the reports) and these inputs stop, each in a fresh process
+    under a time limit."""
+
+    @pytest.mark.parametrize("nu", ["5000", "10000", "1/1000000", "12345/678", "1e400", "1e-5000"])
+    def test_large_powers_exit_3_with_one_line(self, nu):
+        src = os.path.dirname(os.path.dirname(ablab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = ["regularity", "--group", "cyclic:8", "--set", "elems:[0,1]", "--eps", "1/4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ablab.cli", *argv, "--nu", nu],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert re.fullmatch(
+            r"ablab: budget/cap exhausted: regularity needs an exact power of"
+            r" (\d+|over 2\^\d+) bits, over the budget of 16777216 bits\n",
+            proc.stderr,
+        )
+
+
+class TestBohrMapBudgetDefault:
+    """The default --budget, 4096 maps, covers every dimension-1 search in a
+    group under the default size budget (at most 4095 nontrivial characters)."""
+
+    ARGV = ["bohr-search", "--group", "cyclic:1024", "--set", "interval:0..40", "--mode", "alternation"]
+
+    def test_dimension_1_answers_as_with_no_limit(self, capsys):
+        assert run(self.ARGV + ["--n-max", "1"]) == 0
+        default = capsys.readouterr().out
+        assert run(self.ARGV + ["--n-max", "1", "--budget", "0"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_dimension_2_stops_before_any_map(self, capsys, monkeypatch):
+        tried = []
+        monkeypatch.setattr(cli.bohr_mod, "_sublevel_mask", lambda *a: tried.append(a))
+        assert run(self.ARGV + ["--n-max", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "ablab: budget/cap exhausted: Bohr witness search needs 523776"
+            " character maps at --n-max 2, over its budget of 4096\n"
+        )
+        assert tried == []
 
 
 class TestDeterminism:

@@ -17,7 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from ablab import GroupSet, cyclic_group, elementary_abelian_group, symmetric_group
+from ablab import (
+    GroupSet,
+    build_group,
+    cyclic_group,
+    elementary_abelian_group,
+    parse_group_spec,
+    symmetric_group,
+)
 from ablab.bohr import round_to_homomorphism
 from ablab.cli import main
 from ablab.reporting import canonical_dumps
@@ -81,8 +88,18 @@ CLI_CASES = {
     "regularity_cyclic8_small_nu": (
         "regularity --group cyclic:8 --set elems:[0,1] --eps 1/4 --nu 1/1000"
     ),
+    "regularity_cyclic8_nu1000": (
+        "regularity --group cyclic:8 --set elems:[0,1] --eps 1/4 --nu 1000"
+    ),
+    "regularity_cyclic8_nu2000": (
+        "regularity --group cyclic:8 --set elems:[0,1] --eps 1/4 --nu 2000"
+    ),
     "bohr_search_cyclic16_tripling": (
         "bohr-search --group cyclic:16 --set interval:0..3 --mode tripling"
+    ),
+    "bohr_search_prod4x8_tripling_dim1": (
+        "bohr-search --group prod:cyclic:4+cyclic:8 --set elems:[0,1,9] "
+        "--mode tripling --n-max 1"
     ),
     "bohr_search_dihedral8_none": (
         "bohr-search --group dihedral:8 --set elems:[2,8] --mode tripling --n-max 1"
@@ -99,6 +116,20 @@ def _rounding(rows: list[str], delta: F):
     g = cyclic_group(len(rows))
     f = TorusMap.from_values(g.whole_subgroup(), [[F(v)] for v in rows])
     return round_to_homomorphism(f, delta)
+
+
+def _rounding_prod4x8() -> object:
+    """Two perturbed characters of cyclic(4) x cyclic(8), element 8a + b:
+    (3a/4 + b/8, a/2 + 5b/8), so the rounding picks two columns."""
+    g = build_group(parse_group_spec("prod:cyclic:4+cyclic:8"))
+    wiggle = [F(0), F(1, 50), F(-1, 50), F(0)]
+    rows = [
+        [F(3 * a, 4) + F(b, 8) + wiggle[x % 4], F(a, 2) + F(5 * b, 8) - wiggle[x % 3]]
+        for x in range(32)
+        for a, b in [divmod(x, 8)]
+    ]
+    f = TorusMap.from_values(g.whole_subgroup(), rows)
+    return round_to_homomorphism(f, F(1, 5))
 
 
 def _library_cases() -> dict:
@@ -125,6 +156,7 @@ def _library_cases() -> dict:
         "rounding_cyclic4_found": lambda: _rounding(
             ["0", "1/4", "1/2", "7/10"], F(1, 8)
         ),
+        "rounding_prod4x8_two_coordinates": _rounding_prod4x8,
     }
 
 

@@ -26,6 +26,7 @@ from ablab import (
     Subgroup,
     bar_closure,
     build_group,
+    cyclic_group,
     largest_subgroup_inside,
     parse_group_spec,
     parse_set_spec,
@@ -118,6 +119,19 @@ class TestSubgroupsInside:
             assert subgroups_inside(g, region) == masks
             check_region(g, region)
         assert set(sizes) <= {0, 1} and 1 in sizes
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["search", "cached"])
+def test_region_without_the_identity_holds_no_subgroup(cached):
+    # Every subgroup holds 0, so a region without it holds none, not {0}.
+    for g in [cyclic_group(4)] + [uncached(spec) for spec in SPECS]:
+        full = (1 << g.order) - 1
+        if cached:
+            subgroups_inside(g, full)
+        holed = [0, 0b1010, full & ~1] + [r & ~1 for r in regions(g, g.label)]
+        for region in holed:
+            assert subgroups_inside(g, region) == []
+        assert (g._lattice is not None) == cached
 
 
 @settings(max_examples=40, deadline=None)
