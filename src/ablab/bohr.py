@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .groups import Subgroup
+from .groups import Subgroup, commutator_subgroup
 from .kernels import indices_to_mask
 from .reporting import OMIT, as_key, digest
 from .sets import GroupSet
@@ -157,9 +157,9 @@ def bohr_witness_search(
     Character products are enumerated in graded order (fewest coordinates
     first, lexicographic within a grade); the delta grid is scanned from the
     largest value down, so the first fit per map is its largest fit.  Before
-    any map is tried, FeasibilityError if their number, the sum of C(r, d)
-    over d <= n_max for the r nontrivial characters, exceeds max_maps.
-    """
+    the character table is formed, FeasibilityError if the sum of C(r, d)
+    over d <= n_max, for the r = |H/[H,H]| - 1 nontrivial characters,
+    exceeds max_maps."""
     if h.parent != container.group:
         raise GroupMismatchError("subgroup and container live over different groups")
     grid = sorted({Fraction(d) for d in delta_grid}, reverse=True)
@@ -186,22 +186,23 @@ def bohr_witness_search(
         tau = trivial_map(h, 1)
         consider(tau, grid[0], 1, bohr_set(h, tau, grid[0]))
         return best
-    chars = characters(h)
-    cols = np.flatnonzero(chars.nums.any(axis=0))  # the nontrivial characters
-    top = min(n_max, len(cols))
-    maps = sum(math.comb(len(cols), dim) for dim in range(1, top + 1))
+    derived = commutator_subgroup(h)
+    r = h.order // derived.order - 1  # the nontrivial characters
+    top = min(n_max, r)
+    maps = sum(math.comb(r, dim) for dim in range(1, top + 1))
     if max_maps is not None and maps > max_maps:
         raise FeasibilityError(
             f"Bohr witness search needs {maps} character maps at --n-max {n_max},"
             f" over its budget of {max_maps}"
         )
-    # One row per character, so a dimension-1 map reads its row in place.
-    # Each value's distance to 0 is min(x, den - x), taken in place.
-    devs = chars.nums.T[cols]
+    chars = characters(h, derived)
+    # One row per nontrivial character (column 0 is the trivial one); each
+    # value's distance to 0 is min(x, den - x), taken in place.
+    devs = chars.nums.T[1:].copy()
     np.subtract(chars.den, devs, out=devs, where=devs > chars.den // 2)
     elems = h.element_indices()
     for dim in range(1, top + 1):
-        for combo in itertools.combinations(range(len(cols)), dim):
+        for combo in itertools.combinations(range(r), dim):
             dev = devs[combo[0]]
             for c in combo[1:]:
                 dev = np.maximum(dev, devs[c])
@@ -211,6 +212,6 @@ def bohr_witness_search(
                     continue
                 bohr = GroupSet(container.group, mask)
                 if best is None or bohr.card > best.bohr.card:
-                    consider(chars.select(cols[list(combo)]), delta, dim, bohr)
+                    consider(chars.select([c + 1 for c in combo]), delta, dim, bohr)
                 break  # largest fitting delta found for this map
     return best

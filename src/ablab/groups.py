@@ -1,8 +1,8 @@
 """Finite groups as dense Cayley tables with 0-based element indices.
 
 Element 0 is always the identity.  Groups are immutable after construction;
-lazy caches (cyclic subgroups, orders, abelianization, subgroup lattice) are
-computed idempotently, so concurrent readers are safe.
+lazy caches (cyclic subgroups, orders, subgroup lattice) are computed
+idempotently, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ class Group:
         self._exponent: int | None = None
         self._is_abelian: bool | None = None
         self._signature: str | None = None
-        self._commutator_mask: int | None = None
-        self._abelianization: tuple["Group", np.ndarray] | None = None
         self._lattice: list[int] | None = None
         self._whole: "Subgroup" | None = None
 
@@ -589,7 +587,7 @@ def build_group(spec: GroupSpec, budget: int = DEFAULT_SIZE_BUDGET) -> Group:
 class Subgroup:
     """A verified subgroup of a parent group, stored as a member bitmask."""
 
-    __slots__ = ("parent", "mask", "_as_group")
+    __slots__ = ("parent", "mask")
 
     def __init__(self, parent: Group, mask: int, verify: bool = True):
         if verify:
@@ -601,7 +599,6 @@ class Subgroup:
                 raise PreconditionError("set is not closed under products")
         self.parent = parent
         self.mask = mask
-        self._as_group: tuple[Group, np.ndarray] | None = None
 
     @property
     def order(self) -> int:
@@ -623,22 +620,6 @@ class Subgroup:
     @property
     def is_normal(self) -> bool:
         return core_within(self, self.parent.whole_subgroup()) == self
-
-    def as_group(self) -> tuple[Group, np.ndarray]:
-        """Reindexed copy of this subgroup as a standalone Group.
-
-        Returns (group, elems) where elems[i] is the parent index of local
-        element i; local 0 is the identity.
-        """
-        if self._as_group is None:
-            g = self.parent
-            elems = self.element_indices()
-            pos = np.full(g.order, -1, dtype=np.int64)
-            pos[elems] = np.arange(len(elems))
-            table = pos[g.mult[np.ix_(elems, elems)]]
-            sub = Group(table, f"{g.label}|H{len(elems)}", {"kind": "subgroup"})
-            self._as_group = (sub, elems)
-        return self._as_group
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -682,18 +663,36 @@ def exponent(g: Group) -> int:
     return g.exponent()
 
 
-def commutator_subgroup(g: Group) -> Subgroup:
-    if g._commutator_mask is None:
-        n = g.order
-        idx = np.arange(n)
-        seen = np.zeros(n, dtype=bool)
-        for x in range(n):
-            a = g.mult[g.inv[x]][g.inv]
-            b = g.mult[a, x]
-            c = g.mult[b, idx]
-            seen[c] = True
-        g._commutator_mask = g.closure(bools_to_mask(seen))
-    return Subgroup(g, g._commutator_mask, verify=False)
+def commutator_subgroup(h: Subgroup | Group) -> Subgroup:
+    """[H,H], read from the parent's table; {1} when the parent is abelian.
+    It is generated by the commutators [x, s] = x^-1 s^-1 x s of H's members
+    x with H's greedy generators s (each the least member outside what the
+    earlier ones generate): by [xz, s] = [x, s]^z [z, s] they generate a
+    normal subgroup of H, and modulo it every s is central and H abelian."""
+    h = h.whole_subgroup() if isinstance(h, Group) else h
+    g = h.parent
+    if g.is_abelian:
+        return Subgroup(g, 1, verify=False)
+    elems, gens, k = h.element_indices(), [], 1
+    for x in elems.tolist():
+        if not k >> x & 1:
+            k = join_mask(g, k, tuple(gens), x)
+            gens.append(x)
+    comms = g.mult[g.mult[np.ix_(g.inv[elems], g.inv[gens])], g.mult[np.ix_(elems, gens)]]
+    return Subgroup(g, g.closure(indices_to_mask(comms, g.order)), verify=False)
+
+
+def member_products(h: Subgroup, lo: int, hi: int) -> np.ndarray:
+    """Rows lo to hi of H's own table, read in place when H is the whole
+    group: [i, j] is the position of xy among H's members in increasing
+    order, for the (lo + i)-th member x and the j-th member y."""
+    g = h.parent
+    if h.order == g.order:
+        return g.mult[lo:hi]
+    elems = h.element_indices()
+    pos = np.zeros(g.order, dtype=np.intp)
+    pos[elems] = np.arange(len(elems))
+    return pos[g.mult[np.ix_(elems[lo:hi], elems)]]
 
 
 def coset_walk(g: Group, hmask: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -709,35 +708,41 @@ def coset_walk(g: Group, hmask: int) -> Iterator[tuple[int, np.ndarray]]:
             yield x, coset
 
 
-def quotient_by(g: Group, normal_mask: int, verify: bool = True) -> tuple[Group, np.ndarray]:
-    """Quotient G/N for a normal subgroup mask; also returns the projection table."""
-    n = g.order
-    proj = np.full(n, -1, dtype=np.int64)
+def quotient_by(
+    h: Subgroup | Group, normal_mask: int, verify: bool = True
+) -> tuple[Group, np.ndarray]:
+    """H/N for a subgroup mask N normal in H, and the projection of H's
+    members in increasing order.  The cosets Nx are walked among them in
+    the parent's table; coset i has the i-th least representative, its
+    least member.  verify checks that the projection respects every
+    product in H.  A whole group modulo {1} is the group itself."""
+    h = h.whole_subgroup() if isinstance(h, Group) else h
+    g, m = h.parent, h.order
+    if m == g.order and normal_mask == 1:
+        return g, np.arange(m)
+    elems, nelems = h.element_indices(), mask_indices(normal_mask, g.order)
+    lift = np.full(g.order, -1, dtype=np.intp)
     reps: list[int] = []
-    for x, coset in coset_walk(g, normal_mask):
-        proj[coset] = len(reps)
-        reps.append(x)
-    rep_arr = np.asarray(reps)
-    table = proj[g.mult[np.ix_(rep_arr, rep_arr)]]
-    q = Group(table, f"{g.label}/N{normal_mask.bit_count()}", {"kind": "quotient"})
+    for x in elems.tolist():
+        if lift[x] < 0:
+            lift[g.mult[nelems, x]] = len(reps)
+            reps.append(x)
+    proj = lift[elems]
+    table = lift[g.mult[np.ix_(reps, reps)]]
     if verify:
-        step = max(1, (1 << 22) // n)
-        for i in range(0, n, step):
-            block = g.mult[i : i + step]
-            if not np.array_equal(proj[block], table[np.ix_(proj[i : i + step], proj)]):
+        step = max(1, (1 << 22) // m)
+        for i in range(0, m, step):
+            block = proj[member_products(h, i, i + step)]
+            if not np.array_equal(block, table[np.ix_(proj[i : i + step], proj)]):
                 raise GroupConstructionError(
                     "quotient map is not well defined (subgroup not normal?)"
                 )
-    proj.setflags(write=False)
-    return q, proj
+    return Group(table, f"{g.label}|H{m}/N{nelems.size}", {"kind": "quotient"}), proj
 
 
-def abelianization(g: Group) -> tuple[Group, np.ndarray]:
-    """G/[G,G] together with the projection table of length |G|."""
-    if g._abelianization is None:
-        comm = commutator_subgroup(g)
-        g._abelianization = quotient_by(g, comm.mask)
-    return g._abelianization
+def abelianization(h: Subgroup | Group) -> tuple[Group, np.ndarray]:
+    """H/[H,H] and the projection of H's members in increasing order."""
+    return quotient_by(h, commutator_subgroup(h).mask)
 
 
 def abelian_basis(g: Group) -> list[tuple[int, int]]:
@@ -777,23 +782,18 @@ def abelian_basis(g: Group) -> list[tuple[int, int]]:
 
 def abelian_coordinates(g: Group, basis: list[tuple[int, int]]) -> np.ndarray:
     """Coordinate table: coords[x] = exponents of x in the given basis."""
-    items: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    for b, m in basis:
+    coords = np.zeros((g.order, len(basis)), dtype=np.int64)
+    elems = np.zeros(1, dtype=np.intp)  # the products of the earlier basis powers
+    for k, (b, m) in enumerate(basis):
         bpows = g.powers(b)
         if len(bpows) != m:
             raise GroupConstructionError(f"basis element {b} does not have order {m}")
-        items = [
-            (int(g.mult[e, bp]), co + (j,))
-            for e, co in items
-            for j, bp in enumerate(bpows)
-        ]
-    coords = np.zeros((g.order, len(basis)), dtype=np.int64)
-    seen = set()
-    for e, co in items:
-        if e in seen:
-            raise GroupConstructionError("basis does not enumerate the group")
-        seen.add(e)
-        coords[e] = co
+        prods = g.mult[np.ix_(elems, bpows)]  # row i: elems[i] b^j for each j
+        coords[prods] = coords[elems][:, None]
+        coords[prods, k] = np.arange(m)
+        elems = prods.ravel()
+    if len(np.unique(elems)) != len(elems):
+        raise GroupConstructionError("basis does not enumerate the group")
     return coords
 
 

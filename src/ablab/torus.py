@@ -20,7 +20,9 @@ from .groups import (
     Subgroup,
     abelian_basis,
     abelian_coordinates,
-    abelianization,
+    commutator_subgroup,
+    member_products,
+    quotient_by,
 )
 from .kernels import indices_to_mask
 
@@ -145,20 +147,15 @@ class TorusMap:
         if self._defect is None:
             if not self.maps_identity_to_zero():
                 raise PreconditionError("map must send the identity to 0")
-            sub, _ = self.domain.as_group()
-            lm = sub.mult
             h = self.domain.order
             worst = 0
             step = max(1, (1 << 22) // max(h, 1))
-            for j in range(self.dim):
-                col = self.nums[:, j]
-                for i in range(0, h, step):
-                    rows = lm[i : i + step].astype(np.int64)
+            for i in range(0, h, step):
+                rows = member_products(self.domain, i, i + step).astype(np.int64)
+                for col in self.nums.T:
                     diff = (col[i : i + step, None] + col[None, :] - col[rows]) % self.den
                     np.minimum(diff, self.den - diff, out=diff)
-                    m = int(diff.max(initial=0))
-                    if m > worst:
-                        worst = m
+                    worst = max(worst, int(diff.max(initial=0)))
             self._defect = Fraction(worst, self.den)
         return self._defect
 
@@ -203,9 +200,9 @@ def trivial_map(domain: Subgroup, dim: int = 1) -> TorusMap:
     return TorusMap(domain, 1, np.zeros((domain.order, dim), dtype=np.int64))
 
 
-def characters(h: Subgroup | Group) -> TorusMap:
+def characters(h: Subgroup | Group, derived: Subgroup | None = None) -> TorusMap:
     """The full dual of H/[H,H] lifted to H, as one exact map whose column j
-    is character j.
+    is character j; derived is [H,H] when the caller has formed it.
 
     Columns follow itertools.product over the abelian_basis orders, so
     column 0 is the trivial character; there are |H/[H,H]| columns and
@@ -213,8 +210,9 @@ def characters(h: Subgroup | Group) -> TorusMap:
     product of each element's abelian coordinates with the index grid.
     """
     dom = h.whole_subgroup() if isinstance(h, Group) else h
-    sub, _ = dom.as_group()
-    ab, proj = abelianization(sub)
+    if derived is None:
+        derived = commutator_subgroup(dom)
+    ab, proj = quotient_by(dom, derived.mask)
     basis = abelian_basis(ab)
     orders = [m for _, m in basis]
     den = math.lcm(*orders)

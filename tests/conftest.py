@@ -171,7 +171,9 @@ def naive_subgroups_inside(g: Group, wset: set[int]) -> set[frozenset[int]]:
     round joins every subgroup found in the last round with every cyclic
     subgroup inside wset.  A join is the breadth-first closure of {0} under
     right multiplication by its generators, read from the table as plain
-    lists."""
+    lists.  Every subgroup holds 0, so a wset without it holds none."""
+    if 0 not in wset:
+        return set()
     table = g.mult.tolist()
 
     def close(gens: tuple[int, ...]) -> frozenset[int]:
@@ -202,6 +204,34 @@ def naive_subgroups_inside(g: Group, wset: set[int]) -> set[frozenset[int]]:
         found.update(fresh)
         last = fresh
     return set(found)
+
+
+def reindexed_copy(g: Group, hset) -> Group:
+    """H as a standalone Group: local element i is the i-th least member of
+    H, and the table is read off g's by plain lookups."""
+    elems = sorted(hset)
+    pos = {x: i for i, x in enumerate(elems)}
+    table = [[pos[g.mul(x, y)] for y in elems] for x in elems]
+    return Group(np.array(table), f"{g.label}|H{len(elems)}")
+
+
+def brute_commutator_subgroup(g: Group, hset) -> frozenset[int]:
+    """The closure of every commutator x^-1 y^-1 x y of members of H."""
+    comms = {
+        g.mul(g.mul(g.invert(x), g.invert(y)), g.mul(x, y)) for x in hset for y in hset
+    }
+    return brute_closure(g, comms)
+
+
+def brute_quotient(g: Group, hset, nset) -> tuple[list[list[int]], list[int]]:
+    """The table of H/N from explicit coset lists Nx, numbered by their least
+    members in increasing order, and the coset number of each member of H
+    in increasing order."""
+    cosets = sorted({frozenset(g.mul(k, x) for k in nset) for x in hset}, key=min)
+    number = {x: i for i, coset in enumerate(cosets) for x in coset}
+    reps = [min(coset) for coset in cosets]
+    table = [[number[g.mul(a, b)] for b in reps] for a in reps]
+    return table, [number[x] for x in sorted(hset)]
 
 
 def brute_stabilizer(g: Group, members, bound, side: str) -> set[int]:

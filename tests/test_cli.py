@@ -438,6 +438,29 @@ class TestBohrMapBudgetDefault:
         )
         assert tried == []
 
+    @pytest.mark.parametrize(
+        "group, literal, mode, budget, maps",
+        [
+            # σ = G abelian; σ abelian inside a nonabelian G; σ = G nonabelian.
+            ("cyclic:64", "elems:[0,1,9]", "alternation", 100, 2016),
+            ("dihedral:8", "random:density=1/8,seed=1", "tripling", 20, 28),
+            ("dihedral:32", "random:density=1/8,seed=1", "alternation", 5, 6),
+        ],
+    )
+    def test_over_budget_exits_3_before_the_character_table(
+        self, capsys, monkeypatch, group, literal, mode, budget, maps
+    ):
+        def refused(*args):
+            raise AssertionError("the character table was formed")
+
+        monkeypatch.setattr(cli.bohr_mod, "characters", refused)
+        argv = ["bohr-search", "--group", group, "--set", literal, "--mode", mode]
+        assert run(argv + ["--n-max", "2", "--budget", str(budget)]) == 3
+        assert capsys.readouterr().err == (
+            f"ablab: budget/cap exhausted: Bohr witness search needs {maps}"
+            f" character maps at --n-max 2, over its budget of {budget}\n"
+        )
+
 
 class TestDeterminism:
     def test_verify_reports_byte_identical_with_cold_and_warm_group_cache(

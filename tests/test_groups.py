@@ -449,10 +449,23 @@ class TestExactCheckAboveOrder512:
         )
         g = cyclic_group(2048)
         evens = subgroup_from_indices(g, range(0, 2048, 2))
-        evens.as_group()
+        # H/{1} is H's own table, built on its members and proven a group.
+        groups_mod.quotient_by(evens, 1)
         groups_mod.quotient_by(g, evens.mask)
         groups_mod.quotient_by(g, subgroup_from_indices(g, [0, 1024]).mask)
         assert calls == [2048, 1024, 2, 1024]
+
+    def test_characters_of_an_abelian_whole_group_build_no_table(self, monkeypatch):
+        # G/[G,G] is G itself when G is abelian, so no table is checked
+        # after G is built.
+        import ablab.groups as groups_mod
+        from ablab import characters
+
+        g = cyclic_group(2048)
+        calls = []
+        monkeypatch.setattr(groups_mod, "_validate_table", lambda g: calls.append(g.order))
+        assert characters(g).dim == 2048
+        assert calls == []
 
 
 class TestInvariants:
